@@ -1,5 +1,6 @@
-// Minimal binary (de)serialization over iostreams, used to persist built
-// FliX indexes to disk. Little-endian, no alignment, explicit sizes.
+// Minimal binary (de)serialization over iostreams, used to persist
+// collections to disk (xml::Collection::Save/Load; indexes use the paged
+// format in src/storage/). Little-endian, no alignment, explicit sizes.
 //
 // Writers never fail at this level (stream state is checked by the caller
 // via stream.good()); readers track a sticky failure flag that the caller
@@ -10,7 +11,6 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
-#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -43,16 +43,6 @@ class BinaryWriter {
     WriteU64(v.size());
     out_.write(reinterpret_cast<const char*>(v.data()),
                static_cast<std::streamsize>(v.size() * sizeof(T)));
-  }
-
-  // Same wire format as WriteVec, for data that lives in a span (e.g. a
-  // mapped view being re-saved as a stream).
-  template <typename T>
-  void WriteSpan(std::span<const T> v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    WriteU64(v.size());
-    out_.write(reinterpret_cast<const char*>(v.data()),
-               static_cast<std::streamsize>(v.size_bytes()));
   }
 
   template <typename T>

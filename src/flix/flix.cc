@@ -1,6 +1,5 @@
 #include "flix/flix.h"
 
-#include "common/binary_io.h"
 #include "common/stopwatch.h"
 #include "flix/landmarks.h"
 #include "flix/mdb.h"
@@ -8,39 +7,6 @@
 #include "obs/trace.h"
 
 namespace flix::core {
-namespace {
-
-constexpr uint32_t kFlixMagic = 0x464C4958;  // "FLIX"
-// Version 2 added the landmark_count option and the trailing landmark cache
-// block; version-1 files still load (empty cache, blind point queries).
-constexpr uint32_t kFlixVersion = 2;
-
-void SaveIdListMap(BinaryWriter& writer, const storage::FlatMultiMap& map) {
-  // Flatten for a deterministic (ascending-key) byte stream; entry layout
-  // matches the original per-pair WriteU32 + WriteVec format.
-  std::vector<NodeId> keys;
-  std::vector<uint64_t> offsets;
-  std::vector<NodeId> flat;
-  map.Flatten(keys, offsets, flat);
-  writer.WriteU64(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    writer.WriteU32(keys[i]);
-    writer.WriteSpan(std::span<const NodeId>(flat.data() + offsets[i],
-                                             offsets[i + 1] - offsets[i]));
-  }
-}
-
-storage::FlatMultiMap LoadIdListMap(BinaryReader& reader) {
-  storage::FlatMultiMap map;
-  const uint64_t size = reader.ReadU64();
-  for (uint64_t i = 0; i < size && reader.ok(); ++i) {
-    const NodeId key = reader.ReadU32();
-    for (const NodeId value : reader.ReadVec<NodeId>()) map.Add(key, value);
-  }
-  return map;
-}
-
-}  // namespace
 
 StatusOr<std::unique_ptr<Flix>> Flix::Build(const xml::Collection& collection,
                                             const FlixOptions& options) {
@@ -108,155 +74,6 @@ StatusOr<std::unique_ptr<Flix>> Flix::Build(const xml::Collection& collection,
   out.build_ms = watch.ElapsedMillis();
   reg.GetHistogram(obs::names::kBuildTotalNs).Record(watch.ElapsedNanos());
   reg.GetCounter(obs::names::kBuildCount).Increment();
-  return flix;
-}
-
-Status Flix::Save(std::ostream& out) const {
-  BinaryWriter writer(out);
-  writer.WriteU32(kFlixMagic);
-  writer.WriteU32(kFlixVersion);
-  writer.WriteU32(static_cast<uint32_t>(options_.config));
-  writer.WriteU32(static_cast<uint32_t>(options_.iss_policy));
-  writer.WriteU64(options_.partition_bound);
-  writer.WriteU64(options_.hopi_max_nodes);
-  writer.WriteU64(options_.hybrid_dense_link_threshold);
-  writer.WriteBool(options_.element_level_partitions);
-  writer.WriteU64(options_.query_cache_capacity);
-  writer.WriteU64(options_.landmark_count);
-  writer.WriteU64(collection_.NumElements());
-  writer.WriteU64(set_.docs.size());
-  for (const MetaDocument& meta : set_.docs) {
-    writer.WriteU32(meta.id);
-    writer.WriteSpan(meta.global_nodes.span());
-    meta.graph.Save(writer);
-    writer.WriteSpan(meta.link_sources.span());
-    SaveIdListMap(writer, meta.link_targets);
-    writer.WriteSpan(meta.entry_nodes.span());
-    SaveIdListMap(writer, meta.entry_origins);
-    // Snapshot so a concurrent migration cannot free the index mid-write.
-    const std::shared_ptr<index::PathIndex> index = meta.index.Acquire();
-    index::SaveIndex(*index, writer);
-  }
-  // Snapshot (not Acquire): a cache disabled at run time still persists.
-  const std::shared_ptr<const LandmarkCache> landmarks =
-      set_.landmarks.Snapshot();
-  const bool has_landmarks = landmarks != nullptr && !landmarks->empty();
-  writer.WriteBool(has_landmarks);
-  if (has_landmarks) landmarks->Save(writer);
-  if (!writer.ok()) return InternalError("write failed while saving index");
-  return Status::Ok();
-}
-
-StatusOr<std::unique_ptr<Flix>> Flix::Load(std::istream& in,
-                                           const xml::Collection& collection) {
-  Stopwatch watch;
-  BinaryReader reader(in);
-  if (reader.ReadU32() != kFlixMagic) {
-    return InvalidArgumentError("not a FliX index file (bad magic)");
-  }
-  const uint32_t version = reader.ReadU32();
-  if (version < 1 || version > kFlixVersion) {
-    return InvalidArgumentError("unsupported FliX index version " +
-                                std::to_string(version));
-  }
-
-  FlixOptions options;
-  options.config = static_cast<MdbConfig>(reader.ReadU32());
-  options.iss_policy = static_cast<IssPolicy>(reader.ReadU32());
-  options.partition_bound = reader.ReadU64();
-  options.hopi_max_nodes = reader.ReadU64();
-  options.hybrid_dense_link_threshold = reader.ReadU64();
-  options.element_level_partitions = reader.ReadBool();
-  options.query_cache_capacity = reader.ReadU64();
-  if (version >= 2) options.landmark_count = reader.ReadU64();
-  auto flix = std::unique_ptr<Flix>(new Flix(collection, options));
-
-  const uint64_t num_elements = reader.ReadU64();
-  if (!reader.ok() || num_elements != collection.NumElements()) {
-    return InvalidArgumentError(
-        "index was built for a different collection (element count "
-        "mismatch)");
-  }
-
-  const uint64_t num_metas = reader.ReadU64();
-  if (!reader.ok()) return InvalidArgumentError("truncated FliX index file");
-  MetaDocumentSet& set = flix->set_;
-  // Fill the docs vector in place: indexes loaded below may keep references
-  // into their meta document's graph, which must not move afterwards.
-  set.docs.resize(num_metas);
-  set.meta_of_node.assign(num_elements, 0);
-  set.local_of_node.assign(num_elements, kInvalidNode);
-
-  for (uint64_t m = 0; m < num_metas; ++m) {
-    MetaDocument& meta = set.docs[m];
-    meta.id = reader.ReadU32();
-    if (meta.id != m) {
-      // The PEE indexes docs[] by meta id; ids are positional by
-      // construction, so a mismatch means the file is corrupt.
-      return InvalidArgumentError("corrupt meta document ordering");
-    }
-    meta.global_nodes = reader.ReadVec<NodeId>();
-    meta.graph = graph::Digraph::Load(reader);
-    meta.link_sources = reader.ReadVec<NodeId>();
-    meta.link_targets = LoadIdListMap(reader);
-    meta.entry_nodes = reader.ReadVec<NodeId>();
-    meta.entry_origins = LoadIdListMap(reader);
-    if (!reader.ok() ||
-        meta.graph.NumNodes() != meta.global_nodes.size()) {
-      return InvalidArgumentError("corrupt meta document " +
-                                  std::to_string(m));
-    }
-    // Link bookkeeping must stay in range: local sources/targets index the
-    // meta graph, global targets/origins index meta_of_node at query time.
-    const NodeId local_count = static_cast<NodeId>(meta.graph.NumNodes());
-    for (const NodeId src : meta.link_sources) {
-      if (src >= local_count) {
-        return InvalidArgumentError("corrupt link source");
-      }
-    }
-    for (const NodeId entry : meta.entry_nodes) {
-      if (entry >= local_count) {
-        return InvalidArgumentError("corrupt entry node");
-      }
-    }
-    bool links_ok = true;
-    for (const auto* map : {&meta.link_targets, &meta.entry_origins}) {
-      map->ForEach([&](NodeId local, std::span<const NodeId> globals) {
-        if (local >= local_count) links_ok = false;
-        for (const NodeId global : globals) {
-          if (global >= num_elements) links_ok = false;
-        }
-      });
-    }
-    if (!links_ok) {
-      return InvalidArgumentError("corrupt link map entry");
-    }
-    StatusOr<std::unique_ptr<index::PathIndex>> loaded =
-        index::LoadIndex(reader, meta.graph);
-    if (!loaded.ok()) return loaded.status();
-    meta.index = std::move(loaded).value();
-    meta.index->RegisterLinkSources(meta.link_sources);
-    meta.index->RegisterEntryNodes(meta.entry_nodes);
-
-    for (NodeId local = 0; local < meta.global_nodes.size(); ++local) {
-      const NodeId global = meta.global_nodes[local];
-      if (global >= num_elements) {
-        return InvalidArgumentError("corrupt global node id");
-      }
-      set.meta_of_node[global] = meta.id;
-      set.local_of_node[global] = local;
-    }
-    set.num_cross_links += meta.link_targets.TotalValues();
-  }
-
-  if (version >= 2 && reader.ReadBool()) {
-    StatusOr<LandmarkCache> cache = LandmarkCache::Load(reader, num_elements);
-    if (!cache.ok()) return cache.status();
-    set.landmarks.Replace(
-        std::make_shared<const LandmarkCache>(std::move(cache).value()));
-  }
-
-  flix->FinishLoadedInstance(watch.ElapsedNanos());
   return flix;
 }
 

@@ -60,38 +60,28 @@ class Flix {
   static StatusOr<std::unique_ptr<Flix>> Build(
       const xml::Collection& collection, const FlixOptions& options = {});
 
-  // Persists the built framework (meta documents + indexes) so a process
-  // can skip the build phase. The collection itself is not stored; Load
-  // must be given the same collection (validated by element count and
-  // document names' element layout).
-  Status Save(std::ostream& out) const;
-  static StatusOr<std::unique_ptr<Flix>> Load(std::istream& in,
-                                              const xml::Collection& collection);
-
-  // On-disk representation for the path-based Save overload.
-  enum class IndexFormat {
-    // Stream format: compact, but Load copies everything onto the heap.
-    kHeap,
-    // Paged format (storage/format.h): Load mmaps the file and serves
-    // queries zero-copy out of the mapping — cold opens touch only the
-    // pages a query needs, so collections larger than RAM stay usable.
-    kMapped,
-  };
+  // The only on-disk format is the paged FLIXPG01 file (storage/format.h).
+  // Kept (with Save's parameter) only because flixbench/ names it.
+  enum class IndexFormat { kMapped };
 
   struct LoadOptions {
-    // Verify every segment checksum up front when opening a paged file.
-    // Costs one sequential read of the file; turning it off defers
-    // corruption detection to `flixctl check` / Validate.
+    // Verify every segment checksum up front when opening the file. Costs
+    // one sequential read of the file; turning it off defers corruption
+    // detection to `flixctl check` / Validate.
     bool verify_checksums = true;
   };
 
-  // Path-based persistence. Save writes the requested format; Load sniffs
-  // the format from the file's magic, so either format loads through the
-  // same call. A paged load pins the file mapping for the instance's
-  // lifetime; indexes replaced later (adaptive ISS) are ordinary heap
-  // indexes layered over the mapped base.
+  // Persists the built framework (meta documents + indexes) so a process
+  // can skip the build phase. The collection itself is not stored; Load
+  // must be given the same collection (validated by element count). Save
+  // is atomic (temp file + rename). Load mmaps the file and serves queries
+  // zero-copy out of the mapping — cold opens touch only the pages a query
+  // needs — and pins the mapping for the instance's lifetime; indexes
+  // replaced later (adaptive ISS) are ordinary heap indexes layered over
+  // the mapped base. Files that are not FLIXPG01, including the retired
+  // stream format, are rejected.
   Status Save(const std::string& path,
-              IndexFormat format = IndexFormat::kHeap) const;
+              IndexFormat format = IndexFormat::kMapped) const;
   static StatusOr<std::unique_ptr<Flix>> Load(const std::string& path,
                                               const xml::Collection& collection,
                                               const LoadOptions& options);
@@ -209,21 +199,18 @@ class Flix {
 
   void AccumulateStats(const QueryStats& stats) const EXCLUDES(stats_mutex_);
 
-  // Shared tail of both Load paths (stream and paged): profiler seeding,
-  // PEE/cache construction, stats and load metrics.
+  // Tail of Load: profiler seeding, PEE/cache construction, stats and
+  // load metrics.
   void FinishLoadedInstance(uint64_t load_ns);
 
-  // Paged-format persistence (flix_paged.cc).
+  // Writes the paged file to `path` (non-atomic; Save wraps it).
   Status SavePaged(const std::string& path) const;
-  static StatusOr<std::unique_ptr<Flix>> LoadPaged(
-      const std::string& path, const xml::Collection& collection,
-      const LoadOptions& options);
 
   const xml::Collection& collection_;
   FlixOptions options_;
-  // Pins the file mapping a paged Load borrowed set_'s views from; declared
-  // before set_ so it is destroyed after everything that aliases it. Null
-  // for built or stream-loaded instances.
+  // Pins the file mapping Load borrowed set_'s views from; declared before
+  // set_ so it is destroyed after everything that aliases it. Null for
+  // built instances.
   std::shared_ptr<storage::PagedFileReader> mapping_;
   MetaDocumentSet set_;
   // Declared before pee_/cache_, which hold pointers to it: destruction

@@ -1,5 +1,6 @@
-// Paged-format persistence of the Flix facade (see storage/format.h for the
-// file layout and DESIGN.md "Paged storage format" for the rationale).
+// Persistence of the Flix facade in the paged FLIXPG01 format (see
+// storage/format.h for the file layout and DESIGN.md "Paged storage format"
+// for the rationale).
 //
 // Layout produced by SavePaged:
 //   superblock            framework identity (options, element/partition
@@ -10,7 +11,7 @@
 //     kIndex segment      the strategy payload (kind in the table entry)
 //   segment table
 //
-// LoadPaged mmaps the file and binds every container as a view into the
+// Load mmaps the file and binds every container as a view into the
 // mapping: no per-node copies, so time-to-first-result is governed by page
 // faults on the arrays a query actually touches, not by file size. Semantic
 // validation is intentionally skipped here — the segment checksums prove the
@@ -18,7 +19,6 @@
 // covers writer bugs.
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
@@ -94,44 +94,15 @@ Status CommitTempFile(const std::string& tmp, const std::string& path) {
 
 }  // namespace
 
-Status Flix::Save(const std::string& path, IndexFormat format) const {
+Status Flix::Save(const std::string& path, IndexFormat /*format*/) const {
   const std::string tmp = path + ".tmp";
-  if (format == IndexFormat::kMapped) {
-    const Status status = SavePaged(tmp);
-    if (!status.ok()) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return status;
-    }
-    return CommitTempFile(tmp, path);
-  }
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return NotFoundError("cannot open " + tmp + " for writing");
-    }
-    const Status status = Save(out);
-    out.flush();
-    if (!status.ok() || !out) {
-      out.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return status.ok() ? InternalError("write failed while saving " + path)
-                         : status;
-    }
+  const Status status = SavePaged(tmp);
+  if (!status.ok()) {
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);
+    return status;
   }
   return CommitTempFile(tmp, path);
-}
-
-StatusOr<std::unique_ptr<Flix>> Flix::Load(const std::string& path,
-                                           const xml::Collection& collection,
-                                           const LoadOptions& options) {
-  if (storage::PagedFileReader::SniffPagedFile(path)) {
-    return LoadPaged(path, collection, options);
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot open " + path);
-  return Load(in, collection);
 }
 
 Status Flix::SavePaged(const std::string& path) const {
@@ -214,9 +185,9 @@ Status Flix::SavePaged(const std::string& path) const {
   return writer->Finish();
 }
 
-StatusOr<std::unique_ptr<Flix>> Flix::LoadPaged(
-    const std::string& path, const xml::Collection& collection,
-    const LoadOptions& load_options) {
+StatusOr<std::unique_ptr<Flix>> Flix::Load(const std::string& path,
+                                           const xml::Collection& collection,
+                                           const LoadOptions& load_options) {
   Stopwatch watch;
   StatusOr<storage::PagedFileReader> opened =
       storage::PagedFileReader::Open(path, load_options.verify_checksums);

@@ -141,40 +141,6 @@ LandmarkCache LandmarkCache::Build(const graph::Digraph& graph,
   return cache;
 }
 
-void LandmarkCache::Save(BinaryWriter& writer) const {
-  writer.WriteU64(num_nodes_);
-  writer.WriteU64(landmarks_.size());
-  writer.WriteU64(generation_);
-  writer.WriteSpan(landmarks_.span());
-  writer.WriteSpan(to_land_.span());
-  writer.WriteSpan(from_land_.span());
-}
-
-StatusOr<LandmarkCache> LandmarkCache::Load(BinaryReader& reader,
-                                            size_t expected_nodes) {
-  LandmarkCache cache;
-  cache.num_nodes_ = reader.ReadU64();
-  const uint64_t k = reader.ReadU64();
-  cache.generation_ = reader.ReadU64();
-  cache.landmarks_ = reader.ReadVec<NodeId>();
-  cache.to_land_ = reader.ReadVec<uint16_t>();
-  cache.from_land_ = reader.ReadVec<uint16_t>();
-  if (!reader.ok()) {
-    return InvalidArgumentError("landmark cache: truncated stream");
-  }
-  if (cache.num_nodes_ != expected_nodes || cache.landmarks_.size() != k ||
-      cache.to_land_.size() != cache.num_nodes_ * k ||
-      cache.from_land_.size() != cache.num_nodes_ * k) {
-    return InvalidArgumentError("landmark cache: shape mismatch");
-  }
-  for (const NodeId landmark : cache.landmarks_) {
-    if (static_cast<size_t>(landmark) >= cache.num_nodes_) {
-      return InvalidArgumentError("landmark cache: landmark id out of range");
-    }
-  }
-  return cache;
-}
-
 void LandmarkCache::AppendArrays(storage::SegmentWriter& writer) const {
   writer.Add(kArrayLandmarkNodes, landmarks_.span());
   writer.Add(kArrayToLandmark, to_land_.span());

@@ -38,7 +38,6 @@
 #include <span>
 #include <thread>
 
-#include "common/binary_io.h"
 #include "common/status.h"
 #include "common/sync.h"
 #include "common/types.h"
@@ -131,12 +130,7 @@ class LandmarkCache {
     return false;
   }
 
-  // Stream persistence (heap copies).
-  void Save(BinaryWriter& writer) const;
-  static StatusOr<LandmarkCache> Load(BinaryReader& reader,
-                                      size_t expected_nodes);
-
-  // Paged persistence: arrays inside one kLandmarks segment. FromSegment
+  // Persistence: arrays inside one kLandmarks segment. FromSegment
   // borrows the mapping (zero copy) and validates shape; any mismatch is an
   // error the caller downgrades to "run blind".
   void AppendArrays(storage::SegmentWriter& writer) const;

@@ -79,36 +79,6 @@ Digraph Digraph::InducedSubgraph(const std::vector<NodeId>& nodes,
   return sub;
 }
 
-void Digraph::Save(BinaryWriter& writer) const {
-  writer.WriteSpan(tags_.span());
-  std::vector<Edge> edges = Edges();
-  writer.WriteU64(edges.size());
-  for (const Edge& e : edges) {
-    writer.WriteU32(e.from);
-    writer.WriteU32(e.to);
-    writer.WritePod(static_cast<uint8_t>(e.kind));
-  }
-}
-
-Digraph Digraph::Load(BinaryReader& reader) {
-  Digraph g;
-  g.tags_ = reader.ReadVec<TagId>();
-  g.out_.Assign(g.tags_.size());
-  g.in_.Assign(g.tags_.size());
-  const uint64_t num_edges = reader.ReadU64();
-  for (uint64_t i = 0; i < num_edges && reader.ok(); ++i) {
-    const NodeId from = reader.ReadU32();
-    const NodeId to = reader.ReadU32();
-    const auto kind = static_cast<EdgeKind>(reader.ReadPod<uint8_t>());
-    if (from >= g.NumNodes() || to >= g.NumNodes()) {
-      reader.MarkFailed();  // corrupt edge list
-      break;
-    }
-    g.AddEdge(from, to, kind);
-  }
-  return g;
-}
-
 void Digraph::AppendArrays(storage::SegmentWriter& seg,
                            uint32_t base_id) const {
   seg.Add(base_id + kTagsArray, tags_.span());

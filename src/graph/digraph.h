@@ -8,7 +8,6 @@
 #include <span>
 #include <vector>
 
-#include "common/binary_io.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "storage/flat.h"
@@ -99,12 +98,7 @@ class Digraph {
   // Approximate heap footprint, for index size accounting.
   size_t MemoryBytes() const;
 
-  // Binary persistence (nodes, tags and edges, insertion order preserved).
-  // Works in both modes; always produces the stream format.
-  void Save(BinaryWriter& writer) const;
-  static Digraph Load(BinaryReader& reader);
-
-  // Paged persistence: appends this graph's arrays to a segment under ids
+  // Persistence: appends this graph's arrays to a segment under ids
   // base_id+0 .. base_id+5, and reconstructs a zero-copy view from them.
   void AppendArrays(storage::SegmentWriter& seg, uint32_t base_id) const;
   static StatusOr<Digraph> FromSegment(const storage::SegmentView& view,

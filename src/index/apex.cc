@@ -283,69 +283,6 @@ std::unique_ptr<NodeDistCursor> ApexIndex::AncestorsAmongCursor(
       &ApexPullCounter());
 }
 
-void ApexIndex::Save(BinaryWriter& writer) const {
-  // Row-wise writes keep the exact WriteNestedVec byte layout in both
-  // storage modes.
-  writer.WriteSpan(block_of_.span());
-  writer.WriteU64(extents_.size());
-  for (size_t b = 0; b < extents_.size(); ++b) writer.WriteSpan(extents_[b]);
-  summary_.Save(writer);
-  writer.WriteU64(reachable_tags_.size());
-  for (size_t b = 0; b < reachable_tags_.size(); ++b) {
-    writer.WriteSpan(reachable_tags_[b]);
-  }
-  writer.WriteU64(tag_words_);
-  writer.WriteBool(have_block_closure_);
-  if (have_block_closure_) {
-    writer.WriteU64(block_closure_.size());
-    for (size_t b = 0; b < block_closure_.size(); ++b) {
-      writer.WriteSpan(block_closure_[b]);
-    }
-  }
-}
-
-StatusOr<std::unique_ptr<ApexIndex>> ApexIndex::Load(BinaryReader& reader,
-                                                     const graph::Digraph& g) {
-  auto index = std::unique_ptr<ApexIndex>(new ApexIndex(g));
-  index->block_of_ = reader.ReadVec<uint32_t>();
-  index->extents_ = reader.ReadNestedVec<NodeId>();
-  index->summary_ = graph::Digraph::Load(reader);
-  index->reachable_tags_ = reader.ReadNestedVec<uint64_t>();
-  index->tag_words_ = reader.ReadU64();
-  index->have_block_closure_ = reader.ReadBool();
-  if (index->have_block_closure_) {
-    index->block_closure_ = reader.ReadNestedVec<uint64_t>();
-  }
-  if (!reader.ok() || index->block_of_.size() != g.NumNodes() ||
-      index->extents_.size() != index->summary_.NumNodes()) {
-    return InvalidArgumentError("corrupt APEX index payload");
-  }
-  const size_t num_blocks = index->extents_.size();
-  for (const uint32_t b : index->block_of_.span()) {
-    if (b >= num_blocks) return InvalidArgumentError("corrupt APEX block id");
-  }
-  if (index->reachable_tags_.size() != num_blocks) {
-    return InvalidArgumentError("corrupt APEX tag table");
-  }
-  for (size_t b = 0; b < num_blocks; ++b) {
-    if (index->reachable_tags_[b].size() != index->tag_words_) {
-      return InvalidArgumentError("corrupt APEX tag row");
-    }
-  }
-  if (index->have_block_closure_) {
-    const size_t block_words = (num_blocks + 63) / 64;
-    if (index->block_closure_.size() != num_blocks) {
-      return InvalidArgumentError("corrupt APEX closure");
-    }
-    for (size_t b = 0; b < num_blocks; ++b) {
-      if (index->block_closure_[b].size() != block_words) {
-        return InvalidArgumentError("corrupt APEX closure row");
-      }
-    }
-  }
-  return index;
-}
-
 void ApexIndex::SaveSegment(storage::SegmentWriter& seg) const {
   seg.Add(kBlockOfArray, block_of_.span());
   std::vector<uint64_t> offsets;

@@ -22,7 +22,6 @@
 #include <span>
 #include <vector>
 
-#include "common/binary_io.h"
 #include "common/status.h"
 #include "index/path_index.h"
 #include "storage/flat.h"
@@ -73,13 +72,9 @@ class ApexIndex : public PathIndex {
   Status Validate(const graph::Digraph& g,
                   const ValidateOptions& options = {}) const override;
 
-  // Binary persistence. Load rebinds to `g`, which must be the same graph
-  // the saved index was built from.
-  void Save(BinaryWriter& writer) const;
-  static StatusOr<std::unique_ptr<ApexIndex>> Load(BinaryReader& reader,
-                                                   const graph::Digraph& g);
-
-  // Paged persistence. Like the stream Load, LoadSegment rebinds to `g`.
+  // Persistence: flat arrays in a segment, loaded as a zero-copy view.
+  // LoadSegment rebinds to `g`, which must be the same graph the saved index
+  // was built from.
   void SaveSegment(storage::SegmentWriter& seg) const;
   static StatusOr<std::unique_ptr<ApexIndex>> LoadSegment(
       const storage::SegmentView& view, const graph::Digraph& g);

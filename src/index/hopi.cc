@@ -523,56 +523,6 @@ std::unique_ptr<NodeDistCursor> HopiIndex::AncestorsAmongCursor(
   return PathIndex::AncestorsAmongCursor(from, sources);
 }
 
-void HopiIndex::Save(BinaryWriter& writer) const {
-  // Row-wise writes produce the exact WriteNestedVec byte layout, so stream
-  // files stay compatible regardless of the storage mode Save runs in.
-  writer.WriteU64(out_labels_.size());
-  for (size_t v = 0; v < out_labels_.size(); ++v) {
-    writer.WriteSpan(out_labels_[v]);
-  }
-  writer.WriteU64(in_labels_.size());
-  for (size_t v = 0; v < in_labels_.size(); ++v) {
-    writer.WriteSpan(in_labels_[v]);
-  }
-  writer.WriteSpan(tag_.span());
-  writer.WriteSpan(rank_of_node_.span());
-  writer.WriteSpan(node_of_rank_.span());
-}
-
-StatusOr<std::unique_ptr<HopiIndex>> HopiIndex::Load(BinaryReader& reader) {
-  auto index = std::unique_ptr<HopiIndex>(new HopiIndex());
-  index->out_labels_ = reader.ReadNestedVec<LabelEntry>();
-  index->in_labels_ = reader.ReadNestedVec<LabelEntry>();
-  index->tag_ = reader.ReadVec<TagId>();
-  index->rank_of_node_ = reader.ReadVec<NodeId>();
-  index->node_of_rank_ = reader.ReadVec<NodeId>();
-  const size_t n = index->tag_.size();
-  if (!reader.ok() || index->out_labels_.size() != n ||
-      index->in_labels_.size() != n || index->rank_of_node_.size() != n ||
-      index->node_of_rank_.size() != n) {
-    return InvalidArgumentError("corrupt HOPI index payload");
-  }
-  // Semantic validation: label hubs are ranks in [0, n) (BuildInverted
-  // indexes by them) and distances are non-negative.
-  for (const auto* labels : {&index->out_labels_, &index->in_labels_}) {
-    for (size_t v = 0; v < labels->size(); ++v) {
-      for (const LabelEntry& e : (*labels)[v]) {
-        if (e.hub >= n || e.distance < 0) {
-          return InvalidArgumentError("corrupt HOPI label entry");
-        }
-      }
-    }
-  }
-  for (const NodeId r : index->rank_of_node_) {
-    if (r >= n) return InvalidArgumentError("corrupt HOPI rank table");
-  }
-  for (const NodeId v : index->node_of_rank_) {
-    if (v >= n) return InvalidArgumentError("corrupt HOPI rank table");
-  }
-  index->BuildInverted();
-  return index;
-}
-
 void HopiIndex::SaveSegment(storage::SegmentWriter& seg) const {
   std::vector<uint64_t> offsets;
   std::vector<LabelEntry> flat;

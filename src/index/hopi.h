@@ -33,7 +33,6 @@
 #include <span>
 #include <vector>
 
-#include "common/binary_io.h"
 #include "common/status.h"
 #include "index/path_index.h"
 #include "storage/flat.h"
@@ -104,14 +103,9 @@ class HopiIndex : public PathIndex {
   Status Validate(const graph::Digraph& g,
                   const ValidateOptions& options = {}) const override;
 
-  // Binary persistence: labels and tags are stored; inverted lists are
-  // rebuilt on load (call Register* afterwards for the filtered lists).
-  void Save(BinaryWriter& writer) const;
-  static StatusOr<std::unique_ptr<HopiIndex>> Load(BinaryReader& reader);
-
-  // Paged persistence. Unlike the stream format, the inverted lists are
-  // persisted too — rebuilding them on load would re-copy the whole label
-  // volume onto the heap and defeat the zero-copy open.
+  // Persistence: flat arrays in a segment, loaded as a zero-copy view. The
+  // inverted lists are persisted too — rebuilding them on load would re-copy
+  // the whole label volume onto the heap and defeat the zero-copy open.
   void SaveSegment(storage::SegmentWriter& seg) const;
   static StatusOr<std::unique_ptr<HopiIndex>> LoadSegment(
       const storage::SegmentView& view);

@@ -128,62 +128,6 @@ void PathIndex::RegisterEntryNodes(std::span<const NodeId> targets) {
   (void)targets;
 }
 
-void SaveIndex(const PathIndex& index, BinaryWriter& writer) {
-  writer.WriteU32(static_cast<uint32_t>(index.kind()));
-  switch (index.kind()) {
-    case StrategyKind::kPpo:
-      static_cast<const PpoIndex&>(index).Save(writer);
-      break;
-    case StrategyKind::kHopi:
-      static_cast<const HopiIndex&>(index).Save(writer);
-      break;
-    case StrategyKind::kApex:
-      static_cast<const ApexIndex&>(index).Save(writer);
-      break;
-    case StrategyKind::kTransitiveClosure:
-      static_cast<const TransitiveClosureIndex&>(index).Save(writer);
-      break;
-    case StrategyKind::kSummary:
-      static_cast<const SummaryIndex&>(index).Save(writer);
-      break;
-  }
-}
-
-StatusOr<std::unique_ptr<PathIndex>> LoadIndex(BinaryReader& reader,
-                                               const graph::Digraph& graph) {
-  const uint32_t kind = reader.ReadU32();
-  if (!reader.ok()) return InvalidArgumentError("truncated index payload");
-  switch (static_cast<StrategyKind>(kind)) {
-    case StrategyKind::kPpo: {
-      auto loaded = PpoIndex::Load(reader);
-      if (!loaded.ok()) return loaded.status();
-      return StatusOr<std::unique_ptr<PathIndex>>(std::move(loaded).value());
-    }
-    case StrategyKind::kHopi: {
-      auto loaded = HopiIndex::Load(reader);
-      if (!loaded.ok()) return loaded.status();
-      return StatusOr<std::unique_ptr<PathIndex>>(std::move(loaded).value());
-    }
-    case StrategyKind::kApex: {
-      auto loaded = ApexIndex::Load(reader, graph);
-      if (!loaded.ok()) return loaded.status();
-      return StatusOr<std::unique_ptr<PathIndex>>(std::move(loaded).value());
-    }
-    case StrategyKind::kTransitiveClosure: {
-      auto loaded = TransitiveClosureIndex::Load(reader);
-      if (!loaded.ok()) return loaded.status();
-      return StatusOr<std::unique_ptr<PathIndex>>(std::move(loaded).value());
-    }
-    case StrategyKind::kSummary: {
-      auto loaded = SummaryIndex::Load(reader, graph);
-      if (!loaded.ok()) return loaded.status();
-      return StatusOr<std::unique_ptr<PathIndex>>(std::move(loaded).value());
-    }
-  }
-  return InvalidArgumentError("unknown index strategy kind " +
-                              std::to_string(kind));
-}
-
 void SaveIndexSegment(const PathIndex& index, storage::SegmentWriter& seg) {
   switch (index.kind()) {
     case StrategyKind::kPpo:

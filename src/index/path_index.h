@@ -24,7 +24,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/binary_io.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "graph/digraph.h"
@@ -248,14 +247,7 @@ void SortByDistance(std::vector<NodeDist>& v);
 // cursor yields, i.e. ascending (distance, node) for conforming cursors).
 std::vector<NodeDist> DrainCursor(NodeDistCursor& cursor);
 
-// Persistence dispatcher: writes the strategy kind followed by the payload.
-void SaveIndex(const PathIndex& index, BinaryWriter& writer);
-// Loads any strategy; `graph` must be the graph the index was built from
-// (needed by APEX, ignored by the others) and must outlive the index.
-StatusOr<std::unique_ptr<PathIndex>> LoadIndex(BinaryReader& reader,
-                                               const graph::Digraph& graph);
-
-// Paged-format dispatchers. SaveIndexSegment appends the strategy's flat
+// Persistence dispatchers. SaveIndexSegment appends the strategy's flat
 // arrays to `seg` (the strategy kind itself travels in the segment-table
 // entry, not the payload); LoadIndexSegment reconstructs a zero-copy view —
 // the mapping behind `view` and `graph` must outlive the index.

@@ -305,44 +305,6 @@ std::vector<NodeDist> PpoIndex::ReachableAmong(
   return result;
 }
 
-void PpoIndex::Save(BinaryWriter& writer) const {
-  writer.WriteSpan(pre_.span());
-  writer.WriteSpan(post_.span());
-  writer.WriteSpan(depth_.span());
-  writer.WriteSpan(parent_.span());
-  writer.WriteSpan(subtree_size_.span());
-  writer.WriteSpan(order_.span());
-  writer.WriteSpan(tag_.span());
-}
-
-StatusOr<std::unique_ptr<PpoIndex>> PpoIndex::Load(BinaryReader& reader) {
-  auto index = std::unique_ptr<PpoIndex>(new PpoIndex());
-  index->pre_ = reader.ReadVec<uint32_t>();
-  index->post_ = reader.ReadVec<uint32_t>();
-  index->depth_ = reader.ReadVec<uint32_t>();
-  index->parent_ = reader.ReadVec<NodeId>();
-  index->subtree_size_ = reader.ReadVec<uint32_t>();
-  index->order_ = reader.ReadVec<NodeId>();
-  index->tag_ = reader.ReadVec<TagId>();
-  const size_t n = index->pre_.size();
-  if (!reader.ok() || index->post_.size() != n || index->depth_.size() != n ||
-      index->parent_.size() != n || index->subtree_size_.size() != n ||
-      index->order_.size() != n || index->tag_.size() != n) {
-    return InvalidArgumentError("corrupt PPO index payload");
-  }
-  // Semantic validation: pre/order must be inverse permutations, parents in
-  // range, and subtree intervals inside the node range (queries scan them).
-  for (NodeId v = 0; v < n; ++v) {
-    if (index->pre_[v] >= n || index->order_[index->pre_[v]] != v ||
-        (index->parent_[v] != kInvalidNode && index->parent_[v] >= n) ||
-        index->subtree_size_[v] == 0 ||
-        index->pre_[v] + index->subtree_size_[v] > n) {
-      return InvalidArgumentError("corrupt PPO numbering");
-    }
-  }
-  return index;
-}
-
 void PpoIndex::SaveSegment(storage::SegmentWriter& seg) const {
   seg.Add(kPreArray, pre_.span());
   seg.Add(kPostArray, post_.span());

@@ -17,7 +17,6 @@
 #include <span>
 #include <vector>
 
-#include "common/binary_io.h"
 #include "common/status.h"
 #include "index/path_index.h"
 #include "storage/flat.h"
@@ -63,11 +62,7 @@ class PpoIndex : public PathIndex {
   Status Validate(const graph::Digraph& g,
                   const ValidateOptions& options = {}) const override;
 
-  // Binary persistence (stream format; works in both storage modes).
-  void Save(BinaryWriter& writer) const;
-  static StatusOr<std::unique_ptr<PpoIndex>> Load(BinaryReader& reader);
-
-  // Paged persistence: flat arrays in a segment, loaded as a zero-copy view.
+  // Persistence: flat arrays in a segment, loaded as a zero-copy view.
   void SaveSegment(storage::SegmentWriter& seg) const;
   static StatusOr<std::unique_ptr<PpoIndex>> LoadSegment(
       const storage::SegmentView& view);

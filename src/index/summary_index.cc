@@ -467,57 +467,6 @@ size_t SummaryIndex::MemoryBytes() const {
          backward_tags_.MemoryBytes();
 }
 
-void SummaryIndex::Save(BinaryWriter& writer) const {
-  // Row-wise writes keep the exact WriteNestedVec byte layout in both
-  // storage modes.
-  writer.WriteSpan(block_of_.span());
-  writer.WriteU64(extents_.size());
-  for (size_t b = 0; b < extents_.size(); ++b) writer.WriteSpan(extents_[b]);
-  summary_.Save(writer);
-  writer.WriteU64(forward_tags_.size());
-  for (size_t b = 0; b < forward_tags_.size(); ++b) {
-    writer.WriteSpan(forward_tags_[b]);
-  }
-  writer.WriteU64(backward_tags_.size());
-  for (size_t b = 0; b < backward_tags_.size(); ++b) {
-    writer.WriteSpan(backward_tags_[b]);
-  }
-  writer.WriteU64(tag_words_);
-}
-
-StatusOr<std::unique_ptr<SummaryIndex>> SummaryIndex::Load(
-    BinaryReader& reader, const graph::Digraph& g) {
-  auto index = std::unique_ptr<SummaryIndex>(new SummaryIndex(g));
-  index->block_of_ = reader.ReadVec<uint32_t>();
-  index->extents_ = reader.ReadNestedVec<NodeId>();
-  index->summary_ = graph::Digraph::Load(reader);
-  index->forward_tags_ = reader.ReadNestedVec<uint64_t>();
-  index->backward_tags_ = reader.ReadNestedVec<uint64_t>();
-  index->tag_words_ = reader.ReadU64();
-  if (!reader.ok() || index->block_of_.size() != g.NumNodes() ||
-      index->extents_.size() != index->summary_.NumNodes()) {
-    return InvalidArgumentError("corrupt summary index payload");
-  }
-  const size_t num_blocks = index->extents_.size();
-  for (const uint32_t b : index->block_of_.span()) {
-    if (b >= num_blocks) {
-      return InvalidArgumentError("corrupt summary block id");
-    }
-  }
-  if (index->forward_tags_.size() != num_blocks ||
-      index->backward_tags_.size() != num_blocks) {
-    return InvalidArgumentError("corrupt summary tag tables");
-  }
-  for (const auto* table : {&index->forward_tags_, &index->backward_tags_}) {
-    for (size_t b = 0; b < table->size(); ++b) {
-      if ((*table)[b].size() != index->tag_words_) {
-        return InvalidArgumentError("corrupt summary tag row");
-      }
-    }
-  }
-  return index;
-}
-
 void SummaryIndex::SaveSegment(storage::SegmentWriter& seg) const {
   seg.Add(kBlockOfArray, block_of_.span());
   std::vector<uint64_t> offsets;

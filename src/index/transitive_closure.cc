@@ -309,40 +309,6 @@ Status TransitiveClosureIndex::Validate(const graph::Digraph& g,
   return PathIndex::Validate(g, options);
 }
 
-void TransitiveClosureIndex::Save(BinaryWriter& writer) const {
-  // Row-wise writes keep the exact WriteNestedVec byte layout in both
-  // storage modes.
-  writer.WriteU64(closure_.size());
-  for (size_t v = 0; v < closure_.size(); ++v) writer.WriteSpan(closure_[v]);
-  writer.WriteU64(reverse_.size());
-  for (size_t v = 0; v < reverse_.size(); ++v) writer.WriteSpan(reverse_[v]);
-  writer.WriteSpan(tag_.span());
-}
-
-StatusOr<std::unique_ptr<TransitiveClosureIndex>> TransitiveClosureIndex::Load(
-    BinaryReader& reader) {
-  auto index =
-      std::unique_ptr<TransitiveClosureIndex>(new TransitiveClosureIndex());
-  index->closure_ = reader.ReadNestedVec<NodeDist>();
-  index->reverse_ = reader.ReadNestedVec<NodeDist>();
-  index->tag_ = reader.ReadVec<TagId>();
-  const size_t n = index->tag_.size();
-  if (!reader.ok() || index->closure_.size() != n ||
-      index->reverse_.size() != n) {
-    return InvalidArgumentError("corrupt transitive-closure index payload");
-  }
-  for (const auto* table : {&index->closure_, &index->reverse_}) {
-    for (size_t v = 0; v < table->size(); ++v) {
-      for (const NodeDist& nd : (*table)[v]) {
-        if (nd.node >= n || nd.distance < 0) {
-          return InvalidArgumentError("corrupt transitive-closure entry");
-        }
-      }
-    }
-  }
-  return index;
-}
-
 void TransitiveClosureIndex::SaveSegment(storage::SegmentWriter& seg) const {
   std::vector<uint64_t> offsets;
   std::vector<NodeDist> flat;

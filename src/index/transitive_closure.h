@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "common/binary_io.h"
 #include "common/status.h"
 #include "index/path_index.h"
 #include "storage/flat.h"
@@ -56,12 +55,7 @@ class TransitiveClosureIndex : public PathIndex {
   Status Validate(const graph::Digraph& g,
                   const ValidateOptions& options = {}) const override;
 
-  // Binary persistence (stream format; works in both storage modes).
-  void Save(BinaryWriter& writer) const;
-  static StatusOr<std::unique_ptr<TransitiveClosureIndex>> Load(
-      BinaryReader& reader);
-
-  // Paged persistence: CSR rows in a segment, loaded as a zero-copy view.
+  // Persistence: CSR rows in a segment, loaded as a zero-copy view.
   void SaveSegment(storage::SegmentWriter& seg) const;
   static StatusOr<std::unique_ptr<TransitiveClosureIndex>> LoadSegment(
       const storage::SegmentView& view);

@@ -100,14 +100,22 @@ StatusOr<PagedFileReader> PagedFileReader::Open(const std::string& path,
   PagedFileReader reader;
   reader.file_ = std::move(mapped).value();
   const std::span<const std::byte> bytes = reader.file_.bytes();
+  // Magic first, so any foreign or pre-FLIXPG01 file — however short — gets
+  // the message that names the fix.
+  uint64_t magic = 0;
+  if (bytes.size() >= sizeof(magic)) {
+    std::memcpy(&magic, bytes.data(), sizeof(magic));
+  }
+  if (magic != kPagedMagic) {
+    return InvalidArgumentError(
+        "not a FLIXPG01 index; stream-format files are no longer read, "
+        "rebuild with `flixctl build`");
+  }
   if (bytes.size() < sizeof(Superblock)) {
     return InvalidArgumentError("paged index: file shorter than superblock");
   }
   std::memcpy(&reader.superblock_, bytes.data(), sizeof(Superblock));
   const Superblock& sb = reader.superblock_;
-  if (sb.magic != kPagedMagic) {
-    return InvalidArgumentError("paged index: bad magic");
-  }
   if (sb.endianness != kEndianMarker) {
     return InvalidArgumentError("paged index: endianness mismatch");
   }
@@ -193,14 +201,6 @@ Status PagedFileReader::VerifySegment(const SegmentEntry& entry) const {
 
 StatusOr<SegmentView> PagedFileReader::View(const SegmentEntry& entry) const {
   return SegmentView::Parse(Payload(entry));
-}
-
-bool PagedFileReader::SniffPagedFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return false;
-  uint64_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  return in.gcount() == sizeof(magic) && magic == kPagedMagic;
 }
 
 }  // namespace flix::storage

@@ -83,10 +83,6 @@ class PagedFileReader {
   // Open).
   StatusOr<SegmentView> View(const SegmentEntry& entry) const;
 
-  // True if the first bytes of `path` carry the paged magic — the format
-  // sniff used by Flix::Load to pick stream vs paged.
-  static bool SniffPagedFile(const std::string& path);
-
  private:
   PagedFileReader() = default;
 

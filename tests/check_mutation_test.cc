@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -453,17 +455,36 @@ TEST_F(OnDiskCorruptionTest, TruncatedLandmarkTableFallsBackToBlind) {
   }
 }
 
-// Corruption class 11: the stream (heap) format must reject truncation just
-// as cleanly through the same path-based Load.
-TEST_F(OnDiskCorruptionTest, TruncatedStreamFileIsRejected) {
-  ASSERT_TRUE(flix_->Save(path_, core::Flix::IndexFormat::kHeap).ok());
-  const std::vector<char> bytes = ReadFile();
-  ASSERT_GT(bytes.size(), 64u);
-  for (const size_t keep : {bytes.size() / 4, bytes.size() - 8}) {
-    WriteFile(std::vector<char>(bytes.begin(),
-                                bytes.begin() + static_cast<ptrdiff_t>(keep)));
-    EXPECT_FALSE(Reload().ok()) << "kept " << keep << " of " << bytes.size();
+// Corruption class 11: a file in the retired stream format, which began
+// with the u32 magic 0x464C4958 ("FLIX") and the u32 version (2 in its last
+// release). Both Flix::Load and `flixctl info` must refuse it with a message
+// that names the format they expect and the fix.
+TEST_F(OnDiskCorruptionTest, OldStreamFileIsRejected) {
+  std::vector<char> bytes(1024, '\0');
+  const uint32_t header[2] = {0x464C4958, 2};
+  std::memcpy(bytes.data(), header, sizeof(header));
+  WriteFile(bytes);
+
+  const Status status = Reload();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("FLIXPG01"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("flixctl build"), std::string::npos)
+      << status.ToString();
+
+  const std::string command =
+      std::string(FLIXCTL_PATH) + " info --index '" + path_ + "' 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string output;
+  std::array<char, 256> line{};
+  while (std::fgets(line.data(), static_cast<int>(line.size()), pipe) !=
+         nullptr) {
+    output += line.data();
   }
+  EXPECT_NE(pclose(pipe), 0) << output;
+  EXPECT_NE(output.find("FLIXPG01"), std::string::npos) << output;
+  EXPECT_NE(output.find("flixctl build"), std::string::npos) << output;
 }
 
 }  // namespace

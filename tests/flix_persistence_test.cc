@@ -1,7 +1,7 @@
-// Persistence round-trips: binary I/O primitives, every index strategy, and
-// a full Flix save/load whose loaded instance must answer queries exactly
-// like the freshly built one — through the stream format and through the
-// paged (mmap, zero-copy) format, which must also agree with each other.
+// Persistence round-trips: binary I/O primitives (collection files), every
+// index strategy's segment arrays, and a full Flix save/load through the
+// paged (mmap, zero-copy) FLIXPG01 file whose loaded instance must answer
+// queries exactly like the freshly built one.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -21,6 +21,7 @@
 #include "index/path_index.h"
 #include "index/ppo.h"
 #include "index/transitive_closure.h"
+#include "storage/segment.h"
 #include "workload/synthetic_generator.h"
 
 namespace flix {
@@ -95,12 +96,15 @@ graph::Digraph RandomGraph(size_t n, size_t edges, uint64_t seed) {
 
 TEST(PersistenceTest, DigraphRoundTrip) {
   const graph::Digraph g = RandomGraph(30, 60, 5);
-  std::stringstream stream;
-  BinaryWriter writer(stream);
-  g.Save(writer);
-  BinaryReader reader(stream);
-  const graph::Digraph loaded = graph::Digraph::Load(reader);
-  ASSERT_TRUE(reader.ok());
+  storage::SegmentWriter seg;
+  g.AppendArrays(seg, /*base_id=*/10);
+  const std::vector<std::byte> payload = seg.Finish();
+  const auto view = storage::SegmentView::Parse(payload);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  auto from_segment = graph::Digraph::FromSegment(*view, /*base_id=*/10);
+  ASSERT_TRUE(from_segment.ok()) << from_segment.status().ToString();
+  const graph::Digraph& loaded = *from_segment;
+  EXPECT_TRUE(loaded.is_view());
   ASSERT_EQ(loaded.NumNodes(), g.NumNodes());
   ASSERT_EQ(loaded.NumEdges(), g.NumEdges());
   EXPECT_EQ(loaded.NumLinkEdges(), g.NumLinkEdges());
@@ -110,16 +114,17 @@ TEST(PersistenceTest, DigraphRoundTrip) {
   }
 }
 
-// Round-trips one index through SaveIndex/LoadIndex and compares answers.
+// Round-trips one index through SaveIndexSegment/LoadIndexSegment and
+// compares answers.
 void CheckIndexRoundTrip(const index::PathIndex& original,
                          const graph::Digraph& g) {
-  std::stringstream stream;
-  BinaryWriter writer(stream);
-  index::SaveIndex(original, writer);
-  ASSERT_TRUE(writer.ok());
+  storage::SegmentWriter seg;
+  index::SaveIndexSegment(original, seg);
+  const std::vector<std::byte> payload = seg.Finish();
+  const auto view = storage::SegmentView::Parse(payload);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
 
-  BinaryReader reader(stream);
-  auto loaded = index::LoadIndex(reader, g);
+  auto loaded = index::LoadIndexSegment(*view, original.kind(), g);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->kind(), original.kind());
 
@@ -170,102 +175,28 @@ TEST(PersistenceTest, TcRoundTrip) {
 }
 
 TEST(PersistenceTest, LoadIndexRejectsGarbage) {
-  std::stringstream stream;
-  BinaryWriter writer(stream);
-  writer.WriteU32(999);  // unknown strategy kind
   graph::Digraph g(1);
-  BinaryReader reader(stream);
-  EXPECT_FALSE(index::LoadIndex(reader, g).ok());
-}
-
-class FlixPersistenceTest
-    : public ::testing::TestWithParam<core::MdbConfig> {};
-
-TEST_P(FlixPersistenceTest, FullRoundTrip) {
-  const auto collection = workload::GenerateSynthetic({.seed = 81});
-  ASSERT_TRUE(collection.ok());
-  core::FlixOptions options;
-  options.config = GetParam();
-  options.partition_bound = 80;
-  auto original = core::Flix::Build(*collection, options);
-  ASSERT_TRUE(original.ok());
-
-  std::stringstream stream;
-  ASSERT_TRUE((*original)->Save(stream).ok());
-
-  auto loaded = core::Flix::Load(stream, *collection);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-
-  // Same structure...
-  EXPECT_EQ((*loaded)->stats().num_meta_documents,
-            (*original)->stats().num_meta_documents);
-  EXPECT_EQ((*loaded)->stats().num_cross_links,
-            (*original)->stats().num_cross_links);
-  EXPECT_EQ((*loaded)->stats().num_ppo, (*original)->stats().num_ppo);
-  EXPECT_EQ((*loaded)->stats().num_hopi, (*original)->stats().num_hopi);
-
-  // ...and identical query answers.
-  const graph::Digraph g = collection->BuildGraph();
-  for (const char* tag : {"t0", "t1", "doc", "xref"}) {
-    for (DocId d = 0; d < collection->NumDocuments(); d += 4) {
-      const NodeId start = collection->GlobalId(d, 0);
-      EXPECT_EQ((*loaded)->FindDescendantsByName(start, tag),
-                (*original)->FindDescendantsByName(start, tag))
-          << "tag " << tag << " doc " << d;
-    }
-  }
-  for (NodeId a = 0; a < g.NumNodes(); a += 37) {
-    for (NodeId b = 0; b < g.NumNodes(); b += 41) {
-      EXPECT_EQ((*loaded)->IsConnected(a, b), (*original)->IsConnected(a, b));
-    }
+  storage::SegmentWriter seg;
+  seg.Add(1, std::vector<uint32_t>{7, 7, 7});
+  const std::vector<std::byte> payload = seg.Finish();
+  const auto view = storage::SegmentView::Parse(payload);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  // Unknown strategy kind.
+  EXPECT_FALSE(
+      index::LoadIndexSegment(*view, static_cast<index::StrategyKind>(999), g)
+          .ok());
+  // A known kind whose arrays are missing.
+  for (const index::StrategyKind kind :
+       {index::StrategyKind::kPpo, index::StrategyKind::kHopi,
+        index::StrategyKind::kApex, index::StrategyKind::kTransitiveClosure,
+        index::StrategyKind::kSummary}) {
+    EXPECT_FALSE(index::LoadIndexSegment(*view, kind, g).ok())
+        << index::StrategyName(kind);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllConfigs, FlixPersistenceTest,
-    ::testing::Values(core::MdbConfig::kNaive, core::MdbConfig::kMaximalPpo,
-                      core::MdbConfig::kUnconnectedHopi,
-                      core::MdbConfig::kHybrid),
-    [](const ::testing::TestParamInfo<core::MdbConfig>& info) {
-      return std::string(core::MdbConfigName(info.param));
-    });
-
-TEST(FlixPersistenceTest, OptionsRoundTripIncludingCache) {
-  const auto collection = workload::GenerateSynthetic({.seed = 91});
-  ASSERT_TRUE(collection.ok());
-  core::FlixOptions options;
-  options.config = core::MdbConfig::kUnconnectedHopi;
-  options.partition_bound = 123;
-  options.query_cache_capacity = 7;
-  options.element_level_partitions = true;
-  auto original = core::Flix::Build(*collection, options);
-  ASSERT_TRUE(original.ok());
-
-  std::stringstream stream;
-  ASSERT_TRUE((*original)->Save(stream).ok());
-  auto loaded = core::Flix::Load(stream, *collection);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ((*loaded)->options().config, options.config);
-  EXPECT_EQ((*loaded)->options().partition_bound, options.partition_bound);
-  EXPECT_EQ((*loaded)->options().query_cache_capacity, 7u);
-  EXPECT_TRUE((*loaded)->options().element_level_partitions);
-  ASSERT_NE((*loaded)->query_cache(), nullptr);
-}
-
-TEST(FlixPersistenceTest, LoadRejectsWrongCollection) {
-  const auto collection = workload::GenerateSynthetic({.seed = 83});
-  ASSERT_TRUE(collection.ok());
-  auto original = core::Flix::Build(*collection, {});
-  ASSERT_TRUE(original.ok());
-  std::stringstream stream;
-  ASSERT_TRUE((*original)->Save(stream).ok());
-
-  const auto other =
-      workload::GenerateSynthetic({.seed = 84, .tree_docs = 2});
-  ASSERT_TRUE(other.ok());
-  const auto loaded = core::Flix::Load(stream, *other);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+std::string PagedTempPath(const std::string& name) {
+  return (std::filesystem::path(::testing::TempDir()) / name).string();
 }
 
 TEST(CollectionPersistenceTest, RoundTripPreservesEverything) {
@@ -317,13 +248,13 @@ TEST(CollectionPersistenceTest, IndexSavedAgainstLoadedCollection) {
   ASSERT_TRUE(flix.ok());
 
   std::stringstream coll_stream;
-  std::stringstream index_stream;
+  const std::string index_path = PagedTempPath("against_loaded.flix");
   ASSERT_TRUE(original->Save(coll_stream).ok());
-  ASSERT_TRUE((*flix)->Save(index_stream).ok());
+  ASSERT_TRUE((*flix)->Save(index_path).ok());
 
   auto loaded_collection = xml::Collection::Load(coll_stream);
   ASSERT_TRUE(loaded_collection.ok());
-  auto loaded_flix = core::Flix::Load(index_stream, *loaded_collection);
+  auto loaded_flix = core::Flix::Load(index_path, *loaded_collection);
   ASSERT_TRUE(loaded_flix.ok()) << loaded_flix.status().ToString();
 
   const NodeId start = loaded_collection->GlobalId(0, 0);
@@ -336,29 +267,17 @@ TEST(CollectionPersistenceTest, RejectsGarbage) {
   EXPECT_FALSE(xml::Collection::Load(stream).ok());
 }
 
-TEST(FlixPersistenceTest, LoadRejectsGarbageFile) {
-  const auto collection = workload::GenerateSynthetic({.seed = 85});
-  ASSERT_TRUE(collection.ok());
-  std::stringstream stream("this is not a flix index");
-  EXPECT_FALSE(core::Flix::Load(stream, *collection).ok());
-}
-
 // ---------------------------------------------------------------------------
-// Paged (mmap) format
-
-std::string PagedTempPath(const std::string& name) {
-  return (std::filesystem::path(::testing::TempDir()) / name).string();
-}
+// Full Flix save/load
 
 // Compares every query class the facade offers between two instances built
-// over the same collection. Heavier than the spot checks above because the
-// paged read path is entirely new code: views must agree with heap answers
-// everywhere, not just on a sample.
+// over the same collection: mapped views must agree with heap answers from
+// every document root, and on a grid of connection/distance pairs.
 void ExpectSameAnswers(const core::Flix& a, const core::Flix& b,
                        const xml::Collection& collection) {
   const graph::Digraph g = collection.BuildGraph();
   for (const char* tag : {"t0", "t1", "doc", "xref"}) {
-    for (DocId d = 0; d < collection.NumDocuments(); d += 3) {
+    for (DocId d = 0; d < collection.NumDocuments(); ++d) {
       const NodeId start = collection.GlobalId(d, 0);
       EXPECT_EQ(b.FindDescendantsByName(start, tag),
                 a.FindDescendantsByName(start, tag))
@@ -438,32 +357,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<core::MdbConfig>& info) {
       return std::string(core::MdbConfigName(info.param));
     });
-
-TEST(PagedPersistenceTest, HeapAndMappedFilesAgree) {
-  const auto collection = workload::GenerateSynthetic({.seed = 93});
-  ASSERT_TRUE(collection.ok());
-  core::FlixOptions options;
-  options.config = core::MdbConfig::kHybrid;
-  options.partition_bound = 80;
-  auto original = core::Flix::Build(*collection, options);
-  ASSERT_TRUE(original.ok());
-
-  const std::string heap_path = PagedTempPath("agree_heap.flix");
-  const std::string mapped_path = PagedTempPath("agree_mapped.flix");
-  ASSERT_TRUE((*original)->Save(heap_path).ok());
-  ASSERT_TRUE(
-      (*original)->Save(mapped_path, core::Flix::IndexFormat::kMapped).ok());
-
-  // Load sniffs the format: the same call handles both files.
-  auto heap = core::Flix::Load(heap_path, *collection);
-  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
-  auto mapped = core::Flix::Load(mapped_path, *collection);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-
-  EXPECT_FALSE((*heap)->meta_documents().meta_of_node.is_view());
-  EXPECT_TRUE((*mapped)->meta_documents().meta_of_node.is_view());
-  ExpectSameAnswers(**heap, **mapped, *collection);
-}
 
 TEST(PagedPersistenceTest, OptionsRoundTripThroughSuperblock) {
   const auto collection = workload::GenerateSynthetic({.seed = 91});
@@ -589,7 +482,7 @@ TEST(PagedPersistenceTest, PathLoadRejectsMissingAndGarbageFiles) {
   const std::string path = PagedTempPath("garbage_path.flix");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "this is neither a stream nor a paged index";
+    out << "this is not a flix index";
   }
   EXPECT_FALSE(core::Flix::Load(path, *collection).ok());
 }

@@ -4,12 +4,13 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstddef>
+#include <vector>
 
-#include "common/binary_io.h"
 #include "common/rng.h"
 #include "graph/traversal.h"
 #include "index/apex.h"
+#include "storage/segment.h"
 
 namespace flix::index {
 namespace {
@@ -159,13 +160,13 @@ TEST(SummaryIndexTest, PersistenceRoundTrip) {
   const graph::Digraph g = RandomGraph(40, 90, 103);
   const auto original = SummaryIndex::BuildFb(g);
 
-  std::stringstream stream;
-  BinaryWriter writer(stream);
-  SaveIndex(*original, writer);
-  ASSERT_TRUE(writer.ok());
+  storage::SegmentWriter seg;
+  SaveIndexSegment(*original, seg);
+  const std::vector<std::byte> payload = seg.Finish();
+  const auto view = storage::SegmentView::Parse(payload);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
 
-  BinaryReader reader(stream);
-  auto loaded = LoadIndex(reader, g);
+  auto loaded = LoadIndexSegment(*view, StrategyKind::kSummary, g);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->kind(), StrategyKind::kSummary);
   for (NodeId u = 0; u < g.NumNodes(); u += 5) {

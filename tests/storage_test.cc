@@ -295,7 +295,6 @@ std::string WriteSampleFile(const std::string& name) {
 
 TEST(PagedFileTest, WriteOpenRoundTrip) {
   const std::string path = WriteSampleFile("paged_roundtrip.flix");
-  EXPECT_TRUE(PagedFileReader::SniffPagedFile(path));
 
   auto reader = PagedFileReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
@@ -323,11 +322,18 @@ TEST(PagedFileTest, WriteOpenRoundTrip) {
   EXPECT_EQ(reader->Find(SegmentKind::kPartition, 5), nullptr);
 }
 
-TEST(PagedFileTest, SniffRejectsOtherFiles) {
-  EXPECT_FALSE(PagedFileReader::SniffPagedFile(TempPath("missing.flix")));
+// Files that are not FLIXPG01 — here the retired stream format's magic, too
+// short to hold a superblock — are rejected by the magic check with a
+// message that names the fix.
+TEST(PagedFileTest, OpenRejectsStreamFormatFile) {
   const std::string path = TempPath("not_paged.flix");
-  WriteAll(path, {'F', 'L', 'I', 'X', '0', '1'});  // stream-format magic
-  EXPECT_FALSE(PagedFileReader::SniffPagedFile(path));
+  WriteAll(path, {'X', 'I', 'L', 'F', 2, 0, 0, 0});  // stream-format header
+  const auto reader = PagedFileReader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_NE(reader.status().message().find("FLIXPG01"), std::string::npos)
+      << reader.status().ToString();
+  EXPECT_NE(reader.status().message().find("flixctl build"), std::string::npos)
+      << reader.status().ToString();
 }
 
 // Each corruption class must produce a clean non-ok Status from Open — no
@@ -362,8 +368,9 @@ TEST(PagedFileTest, OpenRejectsFlippedMagic) {
   std::vector<char> bytes = ReadAll(path);
   bytes[0] ^= 0x01;
   WriteAll(path, bytes);
-  EXPECT_FALSE(PagedFileReader::SniffPagedFile(path));
-  EXPECT_FALSE(PagedFileReader::Open(path).ok());
+  const auto reader = PagedFileReader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_NE(reader.status().message().find("FLIXPG01"), std::string::npos);
 }
 
 TEST(PagedFileTest, OpenRejectsCorruptSuperblock) {

@@ -123,11 +123,9 @@ int Usage() {
       "                  [--xml-dir DIR | --dblp N | --synthetic]\n"
       "                  [--config naive|maxppo|uhopi|hybrid] [--bound N]\n"
       "                  [--iss-policy auto|hopi|apex] [--cache N]\n"
-      "                  [--format heap|mmap]  (mmap: paged format, loaded\n"
-      "                   zero-copy; heap: compact stream format)\n"
+      "                  (writes a paged FLIXPG01 index, loaded zero-copy)\n"
       "  flixctl info    --index FILE  (describe a saved index file:\n"
-      "                   format, options, per-segment table for paged "
-      "files)\n"
+      "                   options and per-segment table)\n"
       "  flixctl stats   --collection FILE --index FILE\n"
       "                  [--workload N] [--repeat N] [--json]\n"
       "                  [--watch SEC]  (redraw every SEC seconds; the\n"
@@ -163,7 +161,7 @@ int Usage() {
       "  flixctl landmarks --collection FILE --index FILE\n"
       "                  [--refresh] [--count N] [--validate] [--sample N]\n"
       "                  (inspect the ALT landmark cache; --refresh\n"
-      "                   rebuilds and re-saves in the file's format)\n"
+      "                   rebuilds and re-saves the index)\n"
       "  flixctl query   --collection FILE --index FILE --start DOC[#ID]\n"
       "                  --tag NAME [--k N] [--max-distance D] [--exact]\n"
       "                  [--legacy]  (materialize probes instead of streaming)\n"
@@ -250,12 +248,10 @@ StatusOr<xml::Collection> LoadCollection(const Args& args) {
   return xml::Collection::Load(in);
 }
 
-StatusOr<std::unique_ptr<core::Flix>> LoadIndex(
+StatusOr<std::unique_ptr<core::Flix>> OpenIndex(
     const Args& args, const xml::Collection& collection) {
   const std::string path = args.Get("index");
   if (path.empty()) return InvalidArgumentError("--index is required");
-  // Sniffs the format: paged files are mmapped and served zero-copy,
-  // stream files are read onto the heap.
   return core::Flix::Load(path, collection);
 }
 
@@ -310,21 +306,11 @@ int CmdBuild(const Args& args) {
       return 1;
     }
   }
-  const std::string format = args.Get("format", "heap");
-  if (format != "heap" && format != "mmap") {
-    std::cerr << "--format expects heap or mmap, got '" << format << "'\n";
-    return 2;
-  }
-  if (Status s = (*flix)->Save(index_path,
-                               format == "mmap"
-                                   ? core::Flix::IndexFormat::kMapped
-                                   : core::Flix::IndexFormat::kHeap);
-      !s.ok()) {
+  if (Status s = (*flix)->Save(index_path); !s.ok()) {
     std::cerr << "saving index failed: " << s.ToString() << "\n";
     return 1;
   }
-  std::cout << "wrote " << collection_path << " and " << index_path << " ("
-            << format << " format)\n";
+  std::cout << "wrote " << collection_path << " and " << index_path << "\n";
   return 0;
 }
 
@@ -412,7 +398,7 @@ int CmdStats(const Args& args) {
     std::cerr << collection.status().ToString() << "\n";
     return 1;
   }
-  auto flix = LoadIndex(args, *collection);
+  auto flix = OpenIndex(args, *collection);
   if (!flix.ok()) {
     std::cerr << flix.status().ToString() << "\n";
     return 1;
@@ -437,7 +423,7 @@ int CmdProfile(const Args& args) {
     std::cerr << collection.status().ToString() << "\n";
     return 1;
   }
-  auto flix = LoadIndex(args, *collection);
+  auto flix = OpenIndex(args, *collection);
   if (!flix.ok()) {
     std::cerr << flix.status().ToString() << "\n";
     return 1;
@@ -483,7 +469,7 @@ int CmdAdapt(const Args& args) {
     std::cerr << collection.status().ToString() << "\n";
     return 1;
   }
-  auto flix = LoadIndex(args, *collection);
+  auto flix = OpenIndex(args, *collection);
   if (!flix.ok()) {
     std::cerr << flix.status().ToString() << "\n";
     return 1;
@@ -543,13 +529,7 @@ int CmdAdapt(const Args& args) {
         }
       }
       if (migrated > 0) {
-        // Keep the file's format: a paged index stays paged.
-        const core::Flix::IndexFormat format =
-            storage::PagedFileReader::SniffPagedFile(args.Get("index"))
-                ? core::Flix::IndexFormat::kMapped
-                : core::Flix::IndexFormat::kHeap;
-        if (Status status = (*flix)->Save(args.Get("index"), format);
-            !status.ok()) {
+        if (Status status = (*flix)->Save(args.Get("index")); !status.ok()) {
           std::cerr << "re-saving index failed: " << status.ToString() << "\n";
           return 1;
         }
@@ -671,7 +651,7 @@ int CmdCheck(const Args& args) {
     options.partition_bound = args.GetSize("bound", 5000);
     flix = core::Flix::Build(*collection, options);
   } else {
-    flix = LoadIndex(args, *collection);
+    flix = OpenIndex(args, *collection);
   }
   if (!flix.ok()) {
     std::cerr << flix.status().ToString() << "\n";
@@ -719,36 +699,14 @@ int CmdCheck(const Args& args) {
   return 1;
 }
 
-// `flixctl info`: describe a saved index file without needing the
-// collection. Paged files get the full superblock + segment table; stream
-// files just their identity line.
+// `flixctl info`: describe a saved index file (superblock + segment table)
+// without needing the collection.
 int CmdInfo(const Args& args) {
   const std::string path = args.Get("index");
   if (path.empty()) {
     std::cerr << "--index is required\n";
     return 2;
   }
-  if (!storage::PagedFileReader::SniffPagedFile(path)) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      std::cerr << "cannot open '" << path << "'\n";
-      return 1;
-    }
-    uint32_t magic = 0;
-    in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-    if (!in || magic != 0x464C4958) {
-      std::cerr << path << ": not a FliX index file\n";
-      return 1;
-    }
-    std::cout << path << ": stream (heap) format\n"
-              << "  size: " << FormatBytes(std::filesystem::file_size(path))
-              << "\n"
-              << "  load: full copy onto the heap; re-save with\n"
-              << "        'flixctl build --format mmap' for zero-copy "
-                 "loads\n";
-    return 0;
-  }
-
   auto reader = storage::PagedFileReader::Open(path, /*verify_checksums=*/true);
   if (!reader.ok()) {
     std::cerr << path << ": " << reader.status().ToString() << "\n";
@@ -808,15 +766,14 @@ int CmdInfo(const Args& args) {
 
 // `flixctl landmarks`: inspect or rebuild the ALT landmark cache that
 // accelerates point queries (flix/landmarks.h). Default prints the live
-// cache; --refresh rebuilds and re-saves the index in its current format,
-// --count N changes the landmark budget for that rebuild.
+// cache; --refresh rebuilds and re-saves the index, --count N changes the landmark budget for that rebuild.
 int CmdLandmarks(const Args& args) {
   auto collection = LoadCollection(args);
   if (!collection.ok()) {
     std::cerr << collection.status().ToString() << "\n";
     return 1;
   }
-  auto flix = LoadIndex(args, *collection);
+  auto flix = OpenIndex(args, *collection);
   if (!flix.ok()) {
     std::cerr << flix.status().ToString() << "\n";
     return 1;
@@ -830,14 +787,7 @@ int CmdLandmarks(const Args& args) {
     std::cout << "rebuilt landmark cache in "
               << static_cast<int>(watch.ElapsedMillis()) << " ms (" << stale
               << " in-flight queries finished on the displaced cache)\n";
-    // Keep the file's format: a paged index stays paged (same rule as
-    // `flixctl adapt --apply`).
-    const core::Flix::IndexFormat format =
-        storage::PagedFileReader::SniffPagedFile(args.Get("index"))
-            ? core::Flix::IndexFormat::kMapped
-            : core::Flix::IndexFormat::kHeap;
-    if (Status status = (*flix)->Save(args.Get("index"), format);
-        !status.ok()) {
+    if (Status status = (*flix)->Save(args.Get("index")); !status.ok()) {
       std::cerr << "re-saving index failed: " << status.ToString() << "\n";
       return 1;
     }
@@ -884,7 +834,7 @@ int CmdQuery(const Args& args) {
     std::cerr << collection.status().ToString() << "\n";
     return 1;
   }
-  auto flix = LoadIndex(args, *collection);
+  auto flix = OpenIndex(args, *collection);
   if (!flix.ok()) {
     std::cerr << flix.status().ToString() << "\n";
     return 1;
@@ -938,7 +888,7 @@ int CmdConnect(const Args& args) {
     std::cerr << collection.status().ToString() << "\n";
     return 1;
   }
-  auto flix = LoadIndex(args, *collection);
+  auto flix = OpenIndex(args, *collection);
   if (!flix.ok()) {
     std::cerr << flix.status().ToString() << "\n";
     return 1;
@@ -997,7 +947,7 @@ int CmdRelax(const Args& args) {
     std::cerr << collection.status().ToString() << "\n";
     return 1;
   }
-  auto flix = LoadIndex(args, *collection);
+  auto flix = OpenIndex(args, *collection);
   if (!flix.ok()) {
     std::cerr << flix.status().ToString() << "\n";
     return 1;
