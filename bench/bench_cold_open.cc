@@ -133,5 +133,5 @@ int main(int argc, char** argv) {
 
   bench::EmitMetricsBlock("cold_open", {bench::Config("pubs", pubs),
                                         bench::Config("repeats", repeats)});
-  return speedup >= 5.0 ? 0 : 1;
+  return bench::ExitCode();
 }

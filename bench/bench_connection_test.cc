@@ -114,5 +114,5 @@ int main(int argc, char** argv) {
   bench::EmitMetricsBlock(
       "connection_test",
       {bench::Config("pubs", pubs), bench::Config("pairs", num_pairs)});
-  return 0;
+  return bench::ExitCode();
 }

@@ -205,5 +205,5 @@ int main(int argc, char** argv) {
   bench::EmitMetricsBlock(
       "fig5_descendants",
       {bench::Config("pubs", pubs), bench::Config("repeats", repeats)});
-  return 0;
+  return bench::ExitCode();
 }

@@ -69,5 +69,5 @@ int main(int argc, char** argv) {
   bench::Check("MaximalPPO about as compact as PPO-naive",
                sizes["MaximalPPO"] < 2 * sizes["PPO-naive"]);
   bench::EmitMetricsBlock("table1_index_sizes");
-  return 0;
+  return bench::ExitCode();
 }

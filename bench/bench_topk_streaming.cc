@@ -287,5 +287,5 @@ int main(int argc, char** argv) {
       "topk_streaming",
       {bench::Config("pubs", pubs), bench::Config("repeats", repeats),
        bench::Config("profiler", profiling ? "on" : "off")});
-  return 0;
+  return bench::ExitCode();
 }

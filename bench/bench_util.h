@@ -136,10 +136,21 @@ inline bool HasFlag(int argc, char** argv, const char* name) {
   return false;
 }
 
-// Relation check line for the qualitative, paper-reported shape.
+// True once any Check has failed in this process.
+inline bool& AnyCheckFailed() {
+  static bool failed = false;
+  return failed;
+}
+
+// Relation check line for the qualitative, paper-reported shape. A failed
+// check also fails the run: benches return ExitCode() from main.
 inline void Check(const char* what, bool ok) {
   std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what);
+  if (!ok) AnyCheckFailed() = true;
 }
+
+// The bench's exit status: 1 when a Check failed, else 0.
+inline int ExitCode() { return AnyCheckFailed() ? 1 : 0; }
 
 // A bench-run parameter recorded in the emitted envelope. bench_compare
 // refuses to diff runs whose config key/value lists differ, so anything

@@ -98,6 +98,39 @@ std::vector<core::Result> Drain(const core::PathExpressionEvaluator& pee,
   return results;
 }
 
+// Ground truth of the type query start_tag//result_tag (distinct tags):
+// every result_tag element reachable from some start_tag element, by one
+// multi-source BFS over the global graph.
+std::vector<graph::NodeDist> TypeQueryTruth(const graph::Digraph& g,
+                                            TagId start_tag,
+                                            TagId result_tag) {
+  std::vector<Distance> dist(g.NumNodes(), kUnreachable);
+  std::vector<NodeId> frontier;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    if (g.Tag(v) == start_tag) {
+      dist[v] = 0;
+      frontier.push_back(v);
+    }
+  }
+  std::vector<graph::NodeDist> truth;
+  for (size_t head = 0; head < frontier.size(); ++head) {
+    const NodeId v = frontier[head];
+    if (g.Tag(v) == result_tag) truth.push_back({v, dist[v]});
+    for (const graph::Digraph::Arc& arc : g.OutArcs(v)) {
+      if (dist[arc.target] == kUnreachable) {
+        dist[arc.target] = dist[v] + 1;
+        frontier.push_back(arc.target);
+      }
+    }
+  }
+  return truth;
+}
+
+// Type queries replayed per run (deep mode doubles this). Each is a drain
+// over every element of its start tag, so they are far costlier than the
+// single-start queries and are capped separately.
+constexpr size_t kTypeQueries = 3;
+
 }  // namespace
 
 OracleReport RunDifferentialOracle(const core::Flix& flix,
@@ -164,14 +197,65 @@ OracleReport RunDifferentialOracle(const core::Flix& flix,
     }
   }
 
-  // Connection tests: reachability must match BFS exactly, and exact-mode
-  // point distances must be the true shortest distances.
+  // A//B type queries: all start elements enter the queue at distance 0,
+  // so their partitions admit many entry points and the duplicate
+  // elimination runs on a populated ReachCover. The tag pairs are the
+  // (start tag, result tag) pairs of the sampled queries, with distinct
+  // tags — for A//A the PEE drops starts that other starts reach.
+  std::vector<std::pair<TagId, TagId>> type_pairs;
+  const size_t max_type_queries =
+      options.deep ? 2 * kTypeQueries : kTypeQueries;
+  for (const workload::DescendantQuery& q : queries) {
+    const std::pair<TagId, TagId> pair{global.Tag(q.start), q.tag};
+    if (pair.first == pair.second ||
+        std::find(type_pairs.begin(), type_pairs.end(), pair) !=
+            type_pairs.end()) {
+      continue;
+    }
+    if (type_pairs.size() == max_type_queries) break;
+    type_pairs.push_back(pair);
+  }
+  const auto& pool = flix.collection().pool();
+  for (const auto& [start_tag, result_tag] : type_pairs) {
+    const std::vector<graph::NodeDist> truth =
+        TypeQueryTruth(global, start_tag, result_tag);
+    for (const Mode& mode : modes) {
+      if (mode.exact) continue;  // exact distances are diffed per start above
+      ++report.queries_diffed;
+      ++report.type_queries_diffed;
+      std::vector<core::Result> results;
+      pee.EvaluateTypeQuery(start_tag, result_tag, mode.query,
+                            [&results](const core::Result& r) {
+                              results.push_back(r);
+                              return true;
+                            });
+      if (auto diff = DiffResultSet(std::string(mode.name) + " " +
+                                        pool.Name(start_tag) + "//" +
+                                        pool.Name(result_tag),
+                                    results, truth)) {
+        report.diffs.push_back(*diff);
+      }
+    }
+  }
+
+  // Connection tests: reachability must match BFS exactly (the
+  // bidirectional walk included), and exact-mode point distances must be
+  // the true shortest distances.
   const std::vector<std::pair<NodeId, NodeId>> pairs =
       workload::SampleConnectionPairs(global, options.num_connection_pairs,
                                       options.seed + 1);
   for (const auto& [a, b] : pairs) {
     ++report.queries_diffed;
     const Distance truth_dist = graph::BfsDistance(global, a, b);
+    ++report.queries_diffed;
+    ++report.bidirectional_diffed;
+    if (pee.IsConnectedBidirectional(a, b) != (truth_dist != kUnreachable)) {
+      report.diffs.push_back("connection " + std::to_string(a) + " -> " +
+                             std::to_string(b) +
+                             ": IsConnectedBidirectional says " +
+                             (truth_dist == kUnreachable ? "yes" : "no") +
+                             ", BFS disagrees");
+    }
     if (flix.IsConnected(a, b) != (truth_dist != kUnreachable)) {
       report.diffs.push_back("connection " + std::to_string(a) + " -> " +
                              std::to_string(b) + ": IsConnected says " +

@@ -9,8 +9,10 @@
 //     documented approximation, so only the node sets are compared;
 //   * exact mode: set, per-node distance, and ascending emission order must
 //     all match the BFS ground truth;
-//   * connection tests: IsConnected agrees with BFS reachability and
-//     FindDistance returns the true shortest distance.
+//   * A//B type queries (streaming and materialized): the result set equals
+//     a multi-source BFS from every element of the start tag;
+//   * connection tests: IsConnected and IsConnectedBidirectional agree with
+//     BFS reachability and FindDistance returns the true shortest distance.
 //
 // Complements check::ValidateFramework: the validator proves the stored
 // structures intact, the oracle proves the query pipeline on top of them
@@ -36,8 +38,11 @@ struct OracleOptions {
 };
 
 struct OracleReport {
-  // Query evaluations diffed against the BFS ground truth.
+  // Query evaluations diffed against the BFS ground truth, and how many of
+  // them were type queries and bidirectional connection tests.
   size_t queries_diffed = 0;
+  size_t type_queries_diffed = 0;
+  size_t bidirectional_diffed = 0;
   std::vector<std::string> diffs;
 
   bool ok() const { return diffs.empty(); }

@@ -116,6 +116,65 @@ class BorrowedMinHeap {
   std::vector<Item>& heap_;
 };
 
+// The entry points admitted into one meta document during a query: the
+// duplicate-elimination state of Section 5.1, shared by every walker that
+// applies the rule. The first entry is kept as a bare id and tested with a
+// single IsReachable call; the index's ReachCover is created when a second
+// entry is admitted, so single-entry partitions never allocate one. The
+// cover pins the index snapshot whose structures it reads, so an online
+// migration that swaps the meta document's handle mid-query cannot free
+// them under it.
+class AdmittedEntries {
+ public:
+  // True iff an admitted entry reaches `le` (forward), or `le` reaches an
+  // admitted entry (backward). `index` is the caller's snapshot of this
+  // meta document; `probes` accumulates QueryStats::dominance_probes.
+  bool Covers(NodeId le, const index::PathIndex& index, size_t& probes) {
+    if (first_ == kInvalidNode) return false;
+    if (cover_ == nullptr) {
+      ++probes;
+      return forward_ ? index.IsReachable(first_, le)
+                      : index.IsReachable(le, first_);
+    }
+    const size_t before = cover_->probes();
+    const bool covered = cover_->Covers(le);
+    probes += cover_->probes() - before;
+    return covered;
+  }
+
+  // Admits `le` unless an admitted entry covers it (Section 5.1: everything
+  // `le` reaches was already handled through that entry). Returns whether
+  // `le` was admitted.
+  bool Admit(NodeId le, const std::shared_ptr<index::PathIndex>& index,
+             bool forward, size_t& probes) {
+    if (first_ == kInvalidNode) {
+      forward_ = forward;
+      first_ = le;
+      return true;
+    }
+    if (Covers(le, *index, probes)) return false;
+    if (cover_ == nullptr) {
+      pin_ = index;
+      cover_ = index->NewReachCover(forward_);
+      cover_->Add(first_);
+    }
+    cover_->Add(le);
+    return true;
+  }
+
+  void Reset() {
+    first_ = kInvalidNode;
+    cover_.reset();  // before the pin: the cover reads the pinned index
+    pin_.reset();
+  }
+
+ private:
+  bool forward_ = true;
+  NodeId first_ = kInvalidNode;
+  std::shared_ptr<index::PathIndex> pin_;
+  std::unique_ptr<index::ReachCover> cover_;
+};
+
 // Per-thread reusable query state: queues, dedup sets and cursor slots are
 // cleared between queries instead of reallocated, so a steady query stream
 // stops paying hash-table and heap growth after warm-up.
@@ -125,7 +184,7 @@ struct QueryScratch {
   std::vector<PointItem> point_items;
   std::unordered_set<NodeId> start_set;
   std::vector<ActiveCursor> slots;
-  std::unordered_map<uint32_t, std::vector<NodeId>> entries;
+  std::unordered_map<uint32_t, AdmittedEntries> entries;
   std::unordered_set<NodeId> emitted;
   std::unordered_set<NodeId> processed;
   std::unordered_map<NodeId, Distance> best;
@@ -137,9 +196,9 @@ struct QueryScratch {
     point_items.clear();
     start_set.clear();
     slots.clear();
-    // Keep the per-partition vectors (and their capacity); queries iterate
-    // whatever vector entries[m] yields, and an empty one is a no-op.
-    for (auto& [partition, nodes] : entries) nodes.clear();
+    // Keep the per-partition map nodes; a reset entry admits afresh. The
+    // reset drops each cover's pin along with the cursor slots above.
+    for (auto& [partition, admitted] : entries) admitted.Reset();
     emitted.clear();
     processed.clear();
     best.clear();
@@ -196,6 +255,7 @@ struct PeeMetrics {
   obs::Counter& queries;
   obs::Counter& entries_processed;
   obs::Counter& entries_dominated;
+  obs::Counter& dominance_probes;
   obs::Counter& links_followed;
   obs::Counter& index_probes;
   obs::Counter& results_emitted;
@@ -218,6 +278,7 @@ struct PeeMetrics {
           reg.GetCounter(obs::names::kQueryCount),
           reg.GetCounter(obs::names::kQueryEntriesProcessed),
           reg.GetCounter(obs::names::kQueryEntriesDominated),
+          reg.GetCounter(obs::names::kQueryDominanceProbes),
           reg.GetCounter(obs::names::kQueryLinksFollowed),
           reg.GetCounter(obs::names::kQueryIndexProbes),
           reg.GetCounter(obs::names::kQueryResultsEmitted),
@@ -255,6 +316,7 @@ struct QueryMetricsFlush {
     metrics.queries.Increment();
     metrics.entries_processed.Add(stats.entries_processed);
     metrics.entries_dominated.Add(stats.entries_dominated);
+    metrics.dominance_probes.Add(stats.dominance_probes);
     metrics.links_followed.Add(stats.links_followed);
     metrics.index_probes.Add(stats.index_probes);
     metrics.results_emitted.Add(emitted);
@@ -267,11 +329,12 @@ struct QueryMetricsFlush {
     if (profiler != nullptr) profiler->RecordQuery(deltas, latency_ns);
     obs::SlowQueryLog& slow = obs::SlowQueryLog::Global();
     if (slow.ThresholdNanos() != 0 && latency_ns >= slow.ThresholdNanos()) {
-      char buf[112];
+      char buf[160];
       std::snprintf(buf, sizeof buf,
-                    "pee.query starts=%zu entries=%zu pulls=%zu emitted=%zu",
-                    num_starts, stats.entries_processed, stats.cursor_pulls,
-                    emitted);
+                    "pee.query starts=%zu entries=%zu dominance_probes=%zu "
+                    "pulls=%zu emitted=%zu",
+                    num_starts, stats.entries_processed,
+                    stats.dominance_probes, stats.cursor_pulls, emitted);
       slow.Record(buf, latency_ns);
     }
   }
@@ -346,8 +409,7 @@ void PathExpressionEvaluator::RunStreaming(const std::vector<NodeId>& starts,
 
   // Entry points per visited meta document (Section 5.1 duplicate
   // elimination) and result-level dedup, as in the materializing path.
-  std::unordered_map<uint32_t, std::vector<NodeId>>& entries =
-      scratch->entries;
+  std::unordered_map<uint32_t, AdmittedEntries>& entries = scratch->entries;
   std::unordered_set<NodeId>& emitted = scratch->emitted;
   int64_t num_results = 0;
 
@@ -453,22 +515,11 @@ void PathExpressionEvaluator::RunStreaming(const std::vector<NodeId>& starts,
       entry_span.AddAttr("strategy", index->name());
     }
 
-    std::vector<NodeId>& meta_entries = entries[m];
-    bool dominated = false;
-    for (const NodeId p : meta_entries) {
-      const bool covers = forward ? index->IsReachable(p, le)
-                                  : index->IsReachable(le, p);
-      if (covers) {
-        dominated = true;
-        break;
-      }
-    }
-    if (dominated) {
+    if (!entries[m].Admit(le, index, forward, stats->dominance_probes)) {
       ++stats->entries_dominated;
       if (pdelta != nullptr) ++pdelta->entries_dominated;
       continue;
     }
-    meta_entries.push_back(le);
     ++stats->entries_processed;
     if (pdelta != nullptr) ++pdelta->entries_processed;
 
@@ -560,8 +611,7 @@ void PathExpressionEvaluator::RunMaterialized(
   // mode the domination rule is off; instead each concrete entry node is
   // processed once (Dijkstra semantics — the first pop carries its minimal
   // distance), and result distances are relaxed across entries.
-  std::unordered_map<uint32_t, std::vector<NodeId>>& entries =
-      scratch->entries;
+  std::unordered_map<uint32_t, AdmittedEntries>& entries = scratch->entries;
   std::unordered_set<NodeId>& processed = scratch->processed;
   // Approximate mode: exact result-level duplicate elimination.
   std::unordered_set<NodeId>& emitted = scratch->emitted;
@@ -613,22 +663,11 @@ void PathExpressionEvaluator::RunMaterialized(
       // Duplicate elimination: if an earlier entry point dominates e (for
       // descendants: is an ancestor-or-self of e), everything reachable
       // from e has already been handled through it.
-      std::vector<NodeId>& meta_entries = entries[m];
-      bool dominated = false;
-      for (const NodeId p : meta_entries) {
-        const bool covers = forward ? index->IsReachable(p, le)
-                                    : index->IsReachable(le, p);
-        if (covers) {
-          dominated = true;
-          break;
-        }
-      }
-      if (dominated) {
+      if (!entries[m].Admit(le, index, forward, stats->dominance_probes)) {
         ++stats->entries_dominated;
         if (pdelta != nullptr) ++pdelta->entries_dominated;
         continue;
       }
-      meta_entries.push_back(le);
     }
     ++stats->entries_processed;
     if (pdelta != nullptr) ++pdelta->entries_processed;
@@ -897,17 +936,20 @@ bool PathExpressionEvaluator::IsConnectedBidirectional(
     return false;
   }
   // Forward frontier from a over meta-document entry points, backward
-  // frontier from b; meet detection tests, per meta document seen by both
-  // sides, whether some forward entry reaches some backward entry.
+  // frontier from b; meet detection asks, per meta document seen by both
+  // sides, the other side's admitted entries: a forward entry meets when it
+  // reaches some backward entry, a backward entry when some forward entry
+  // reaches it — exactly what each side's dominance state answers.
   struct Side {
     MinQueue queue;
-    std::unordered_map<uint32_t, std::vector<NodeId>> entries;
+    std::unordered_map<uint32_t, AdmittedEntries> entries;
     uint64_t seq = 0;
   };
   Side fwd;
   Side bwd;
   fwd.queue.push({0, fwd.seq++, a});
   bwd.queue.push({0, bwd.seq++, b});
+  size_t probes = 0;
 
   const auto expand = [&](Side& side, bool forward) -> bool {
     const QueueItem item = side.queue.top();
@@ -920,23 +962,13 @@ bool PathExpressionEvaluator::IsConnectedBidirectional(
     // Migration-safe snapshot for every probe of this entry point.
     const std::shared_ptr<index::PathIndex> index = meta.index.Acquire();
 
-    std::vector<NodeId>& meta_entries = side.entries[m];
-    for (const NodeId p : meta_entries) {
-      const bool covers = forward ? index->IsReachable(p, le)
-                                  : index->IsReachable(le, p);
-      if (covers) return false;
-    }
-    meta_entries.push_back(le);
+    if (!side.entries[m].Admit(le, index, forward, probes)) return false;
 
     // Meet check against the opposite side's entries in this meta document.
     Side& other = forward ? bwd : fwd;
     const auto it = other.entries.find(m);
-    if (it != other.entries.end()) {
-      for (const NodeId q : it->second) {
-        const bool connected = forward ? index->IsReachable(le, q)
-                                       : index->IsReachable(q, le);
-        if (connected) return true;
-      }
+    if (it != other.entries.end() && it->second.Covers(le, *index, probes)) {
+      return true;
     }
 
     const std::vector<index::NodeDist> frontier =
@@ -955,21 +987,22 @@ bool PathExpressionEvaluator::IsConnectedBidirectional(
     return false;
   };
 
-  while (!fwd.queue.empty() || !bwd.queue.empty()) {
-    // Expand the side with the smaller frontier ("depending on the
-    // structure of documents, either of them may be the best", Section
-    // 5.2): on citation-shaped data the ancestors side explodes, so
-    // balancing by queue size keeps the search on the cheap side.
-    const bool pick_forward =
-        bwd.queue.empty() ||
-        (!fwd.queue.empty() && fwd.queue.size() <= bwd.queue.size());
-    if (pick_forward) {
-      if (expand(fwd, /*forward=*/true)) return true;
-    } else {
-      if (expand(bwd, /*forward=*/false)) return true;
+  const auto search = [&]() -> bool {
+    while (!fwd.queue.empty() || !bwd.queue.empty()) {
+      // Expand the side with the smaller frontier ("depending on the
+      // structure of documents, either of them may be the best", Section
+      // 5.2): on citation-shaped data the ancestors side explodes, so
+      // balancing by queue size keeps the search on the cheap side.
+      const bool pick_forward =
+          bwd.queue.empty() ||
+          (!fwd.queue.empty() && fwd.queue.size() <= bwd.queue.size());
+      if (expand(pick_forward ? fwd : bwd, pick_forward)) return true;
     }
-  }
-  return false;
+    return false;
+  };
+  const bool connected = search();
+  PeeMetrics::Get().dominance_probes.Add(probes);
+  return connected;
 }
 
 std::vector<Result> PathExpressionEvaluator::Children(NodeId node) const {

@@ -57,6 +57,9 @@ struct QueryOptions {
 struct QueryStats {
   size_t entries_processed = 0;   // priority-queue pops that did work
   size_t entries_dominated = 0;   // pops skipped by duplicate elimination
+  // Work of the duplicate-elimination test: one unit per IsReachable call
+  // of the pairwise rule, one per lookup of an index-native ReachCover.
+  size_t dominance_probes = 0;
   size_t links_followed = 0;      // cross-meta-document hops enqueued
   size_t index_probes = 0;        // local index queries issued
   size_t cursors_opened = 0;      // lazy probe cursors created (streaming)

@@ -233,6 +233,55 @@ Distance HopiIndex::DistanceBetween(NodeId from, NodeId to) const {
 
 namespace {
 
+// Hub-union cover: a bitset of the hub ranks in the labels of every added
+// node. Forward, p reaches x iff L_out(p) and L_in(x) share a hub, and every
+// label holds its own node as a hub (distance 0), which covers p == x. So
+// Covers(x) scans L_in(x) for a set bit — O(|label|) however many nodes
+// were added. Backward swaps the roles of the two label sets. Ranks outside
+// [0, n) never match, so a damaged label cannot index past the bitset.
+class HubUnionCover : public ReachCover {
+ public:
+  using Labels = storage::FlatRows<HopiIndex::LabelEntry>;
+
+  HubUnionCover(const Labels& added, const Labels& probed, size_t num_ranks)
+      : added_(added),
+        probed_(probed),
+        num_ranks_(num_ranks),
+        bits_((num_ranks + 63) / 64, 0) {}
+
+  void Add(NodeId p) override {
+    for (const HopiIndex::LabelEntry& e : added_[p]) {
+      if (e.hub < num_ranks_) bits_[e.hub >> 6] |= uint64_t{1} << (e.hub & 63);
+    }
+  }
+
+  bool Covers(NodeId x) override {
+    ++probes_;
+    for (const HopiIndex::LabelEntry& e : probed_[x]) {
+      if (e.hub < num_ranks_ && ((bits_[e.hub >> 6] >> (e.hub & 63)) & 1)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  const Labels& added_;
+  const Labels& probed_;
+  const size_t num_ranks_;
+  std::vector<uint64_t> bits_;
+};
+
+}  // namespace
+
+std::unique_ptr<ReachCover> HopiIndex::NewReachCover(bool forward) const {
+  return std::make_unique<HubUnionCover>(forward ? out_labels_ : in_labels_,
+                                         forward ? in_labels_ : out_labels_,
+                                         node_of_rank_.size());
+}
+
+namespace {
+
 // Process-wide count of results yielded by HOPI merge cursors (resolved
 // once; Counter addresses survive MetricsRegistry::Reset()).
 obs::Counter& HopiPullCounter() {

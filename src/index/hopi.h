@@ -61,6 +61,10 @@ class HopiIndex : public PathIndex {
   static_assert(sizeof(LabelEntry) == 8);
 
   Distance DistanceBetween(NodeId from, NodeId to) const override;
+  // Hub-union cover: the added nodes' out-labels (in-labels, backward) OR-ed
+  // into one bitset of hub ranks; Covers(x) scans x's opposite label for a
+  // set bit instead of joining it with each added node's label.
+  std::unique_ptr<ReachCover> NewReachCover(bool forward) const override;
   // Enumeration cursors run a k-way merge over the per-hub inverted lists
   // of `from`'s labels (each pre-sorted by distance), keyed by
   // label-distance + list-entry-distance — the first pop of a node is its

@@ -120,6 +120,39 @@ std::vector<NodeDist> PathIndex::AncestorsAmong(
   return DrainCursor(*AncestorsAmongCursor(from, sources));
 }
 
+namespace {
+
+// The fallback cover: one IsReachable call per added node, in insertion
+// order, stopping at the first hit.
+class PairwiseReachCover : public ReachCover {
+ public:
+  PairwiseReachCover(const PathIndex& index, bool forward)
+      : index_(index), forward_(forward) {}
+
+  void Add(NodeId p) override { added_.push_back(p); }
+
+  bool Covers(NodeId x) override {
+    for (const NodeId p : added_) {
+      ++probes_;
+      if (forward_ ? index_.IsReachable(p, x) : index_.IsReachable(x, p)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  const PathIndex& index_;
+  const bool forward_;
+  std::vector<NodeId> added_;
+};
+
+}  // namespace
+
+std::unique_ptr<ReachCover> PathIndex::NewReachCover(bool forward) const {
+  return std::make_unique<PairwiseReachCover>(*this, forward);
+}
+
 void PathIndex::RegisterLinkSources(std::span<const NodeId> sources) {
   (void)sources;
 }

@@ -156,6 +156,30 @@ class FrontierCursor : public NodeDistCursor {
   Distance depth_ = -1;
 };
 
+// Set-level reachability over a growing set of nodes: the PEE's entry-point
+// dominance rule (Section 5.1) asks whether any entry point already admitted
+// to a meta document reaches the next one. Forward covers answer "some added
+// p reaches x"; backward covers answer "x reaches some added p". Each node
+// reaches itself, so an added node is always covered. A cover reads the
+// index that created it, which must outlive the cover.
+class ReachCover {
+ public:
+  ReachCover() = default;
+  virtual ~ReachCover() = default;
+  ReachCover(const ReachCover&) = delete;
+  ReachCover& operator=(const ReachCover&) = delete;
+
+  virtual void Add(NodeId p) = 0;
+  virtual bool Covers(NodeId x) = 0;
+
+  // Work units spent by Covers so far — one per IsReachable call for the
+  // pairwise cover, one per Covers call for an index-native one.
+  size_t probes() const { return probes_; }
+
+ protected:
+  size_t probes_ = 0;
+};
+
 class PathIndex {
  public:
   virtual ~PathIndex() = default;
@@ -171,6 +195,11 @@ class PathIndex {
 
   // Length of the shortest path, or kUnreachable.
   virtual Distance DistanceBetween(NodeId from, NodeId to) const = 0;
+
+  // An empty ReachCover over this index (see ReachCover for `forward`). The
+  // default tests each added node with IsReachable; strategies with a
+  // set-level test override it.
+  virtual std::unique_ptr<ReachCover> NewReachCover(bool forward) const;
 
   // Cursor over the proper descendants of `from` with tag `tag`, ascending
   // by (distance, node id).

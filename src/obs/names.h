@@ -51,6 +51,7 @@ inline constexpr char kQueryLatencyNs[] = "flix.query.latency_ns";
 inline constexpr char kQueryResults[] = "flix.query.results";
 inline constexpr char kQueryEntriesProcessed[] = "flix.query.entries_processed";
 inline constexpr char kQueryEntriesDominated[] = "flix.query.entries_dominated";
+inline constexpr char kQueryDominanceProbes[] = "flix.query.dominance_probes";
 inline constexpr char kQueryLinksFollowed[] = "flix.query.links_followed";
 inline constexpr char kQueryIndexProbes[] = "flix.query.index_probes";
 inline constexpr char kQueryResultsEmitted[] = "flix.query.results_emitted";

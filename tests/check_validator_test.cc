@@ -71,7 +71,8 @@ TEST(OracleTest, CleanBuildShowsNoDiffs) {
   const auto collection = workload::GenerateSynthetic({.seed = 53});
   ASSERT_TRUE(collection.ok());
   for (const core::MdbConfig config :
-       {core::MdbConfig::kNaive, core::MdbConfig::kHybrid}) {
+       {core::MdbConfig::kNaive, core::MdbConfig::kMaximalPpo,
+        core::MdbConfig::kUnconnectedHopi, core::MdbConfig::kHybrid}) {
     const auto flix = MustBuild(*collection, Options(config, 60));
     OracleOptions options;
     options.seed = 59;
@@ -81,6 +82,37 @@ TEST(OracleTest, CleanBuildShowsNoDiffs) {
     EXPECT_TRUE(report.ok())
         << core::MdbConfigName(config) << ": " << report.diffs.front();
     EXPECT_GT(report.queries_diffed, 0u);
+    // A//B (streamed and materialized) and bidirectional connection tests
+    // run in every configuration.
+    EXPECT_GT(report.type_queries_diffed, 0u) << core::MdbConfigName(config);
+    EXPECT_EQ(report.bidirectional_diffed, options.num_connection_pairs)
+        << core::MdbConfigName(config);
+  }
+}
+
+TEST(OracleTest, TypeQueriesOnMiniDblpShowNoDiffs) {
+  // DBLP-shaped data: every publication root is a start of its tag, so the
+  // type queries put many entry points into each partition, one monolithic
+  // HOPI partition included.
+  workload::DblpOptions dblp;
+  dblp.num_publications = 150;
+  dblp.seed = 73;
+  const auto collection = workload::GenerateDblp(dblp);
+  ASSERT_TRUE(collection.ok());
+  for (const core::MdbConfig config :
+       {core::MdbConfig::kNaive, core::MdbConfig::kMaximalPpo,
+        core::MdbConfig::kUnconnectedHopi, core::MdbConfig::kHybrid}) {
+    for (const size_t bound : {size_t{60}, size_t{1} << 20}) {
+      const auto flix = MustBuild(*collection, Options(config, bound));
+      OracleOptions options;
+      options.seed = 79;
+      options.num_queries = 6;
+      options.num_connection_pairs = 16;
+      const OracleReport report = RunDifferentialOracle(*flix, options);
+      EXPECT_TRUE(report.ok()) << core::MdbConfigName(config) << " bound "
+                               << bound << ": " << report.diffs.front();
+      EXPECT_GT(report.type_queries_diffed, 0u);
+    }
   }
 }
 

@@ -317,9 +317,25 @@ TEST(AdaptTest, CorruptReplacementIsRejectedAndOldIndexStaysLive) {
   }
 }
 
+// Result nodes of the type query start_tag//result_tag, sorted.
+std::vector<NodeId> TypeQueryNodes(const Flix& flix, TagId start_tag,
+                                   TagId result_tag) {
+  std::vector<NodeId> nodes;
+  flix.pee().EvaluateTypeQuery(start_tag, result_tag, {},
+                               [&nodes](const Result& r) {
+                                 nodes.push_back(r.node);
+                                 return true;
+                               });
+  std::sort(nodes.begin(), nodes.end());
+  return nodes;
+}
+
 // TSan target: queries stream results from partition `hot` while a migrator
 // thread swaps its index back and forth. Every query must see a complete,
 // correct result set no matter which side of a swap its cursors landed on.
+// Half the reader queries are A//B type queries whose start tag has several
+// elements in `hot`, so the partition's dominance cover (pinned to one index
+// snapshot) is alive across the swaps.
 TEST(AdaptStressTest, QueriesRaceMigrationsSafely) {
   const auto collection = MakeCollection(61);
   ASSERT_TRUE(collection.ok());
@@ -336,6 +352,21 @@ TEST(AdaptStressTest, QueriesRaceMigrationsSafely) {
     expected.push_back((*flix)->FindDescendantsByName(q.start, q.tag_name));
   }
 
+  const MetaDocument& hot_doc = (*flix)->meta_documents().docs[hot];
+  std::vector<std::pair<TagId, TagId>> type_queries;
+  for (const workload::DescendantQuery& q : queries) {
+    const TagId start_tag = g.Tag(q.start);
+    if (start_tag != q.tag &&
+        hot_doc.graph.NodesWithTag(start_tag).size() > 1) {
+      type_queries.emplace_back(start_tag, q.tag);
+    }
+  }
+  ASSERT_FALSE(type_queries.empty());
+  std::vector<std::vector<NodeId>> expected_types;
+  for (const auto& [start_tag, result_tag] : type_queries) {
+    expected_types.push_back(TypeQueryNodes(**flix, start_tag, result_tag));
+  }
+
   std::atomic<bool> stop{false};
   std::atomic<size_t> mismatches{0};
   std::vector<std::thread> readers;
@@ -343,12 +374,19 @@ TEST(AdaptStressTest, QueriesRaceMigrationsSafely) {
     readers.emplace_back([&, t] {
       size_t i = t;
       while (!stop.load(std::memory_order_relaxed)) {
-        const workload::DescendantQuery& q = queries[i % queries.size()];
-        const std::vector<Result> results =
-            (*flix)->FindDescendantsByName(q.start, q.tag_name);
-        if (!SameResults(results, expected[i % queries.size()])) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
+        bool same = false;
+        if (i % 2 == 0) {
+          const size_t k = (i / 2) % queries.size();
+          same = SameResults(
+              (*flix)->FindDescendantsByName(queries[k].start,
+                                             queries[k].tag_name),
+              expected[k]);
+        } else {
+          const size_t k = (i / 2) % type_queries.size();
+          same = TypeQueryNodes(**flix, type_queries[k].first,
+                                type_queries[k].second) == expected_types[k];
         }
+        if (!same) mismatches.fetch_add(1, std::memory_order_relaxed);
         ++i;
       }
     });

@@ -23,6 +23,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -176,6 +177,45 @@ int Usage() {
       "global flags:\n"
       "  --trace         log one line per query span to stderr\n";
   return 2;
+}
+
+// The flags each subcommand reads (without the leading "--"). Anything
+// else is rejected before the command runs, so a mistyped flag cannot fall
+// back to its default unnoticed. The global --trace is accepted everywhere.
+const std::map<std::string, std::set<std::string>>& CommandFlags() {
+  static const auto* flags = new std::map<std::string, std::set<std::string>>{
+      {"build",
+       {"collection", "index", "xml-dir", "dblp", "synthetic", "config",
+        "bound", "iss-policy", "cache"}},
+      {"info", {"index"}},
+      {"stats",
+       {"collection", "index", "workload", "repeat", "json", "watch"}},
+      {"profile",
+       {"collection", "index", "workload", "repeat", "top", "json",
+        "profile-file", "no-save"}},
+      {"adapt",
+       {"collection", "index", "dry-run", "apply", "watch", "workload",
+        "repeat", "top", "hysteresis", "min-queries", "memory-weight",
+        "profile-file"}},
+      {"trace",
+       {"chrome", "xml-dir", "dblp", "synthetic", "collection", "config",
+        "bound", "workload", "repeat", "capacity", "slow-ms"}},
+      {"check",
+       {"collection", "index", "xml-dir", "dblp", "synthetic", "config",
+        "bound", "deep", "seed", "queries", "no-oracle", "no-landmarks"}},
+      {"landmarks",
+       {"collection", "index", "refresh", "count", "validate", "sample",
+        "seed"}},
+      {"query",
+       {"collection", "index", "start", "tag", "k", "max-distance", "exact",
+        "legacy"}},
+      {"connect",
+       {"collection", "index", "from", "to", "max-distance", "no-landmarks"}},
+      {"search", {"collection", "text", "k"}},
+      {"relax",
+       {"collection", "index", "query", "ontology", "k", "no-relax"}},
+  };
+  return *flags;
 }
 
 core::MdbConfig ParseConfig(const std::string& name) {
@@ -1010,6 +1050,15 @@ int CmdRelax(const Args& args) {
 
 int main(int argc, char** argv) {
   const Args args = ParseArgs(argc, argv);
+  const auto known = CommandFlags().find(args.command);
+  if (known == CommandFlags().end()) return Usage();
+  for (const auto& [flag, value] : args.flags) {
+    if (flag != "trace" && !known->second.contains(flag)) {
+      std::cerr << "unknown flag --" << flag << " for " << args.command
+                << "\n";
+      return Usage();
+    }
+  }
   if (args.Has("trace")) flix::obs::SetTraceLog(&std::cerr);
   if (args.command == "build") return CmdBuild(args);
   if (args.command == "stats") return CmdStats(args);
