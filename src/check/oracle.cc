@@ -131,6 +131,23 @@ std::vector<graph::NodeDist> TypeQueryTruth(const graph::Digraph& g,
 // single-start queries and are capped separately.
 constexpr size_t kTypeQueries = 3;
 
+// The tag with the most elements in a single partition, and that count. An
+// A//B query from it hands that partition an entry batch of that many
+// starts (DBLP: the author elements of one publication).
+std::pair<TagId, size_t> MostCoPartitionedTag(
+    const graph::Digraph& g, const core::MetaDocumentSet& set) {
+  std::unordered_map<uint64_t, size_t> count;  // (tag, partition) -> elements
+  std::pair<TagId, size_t> best{kInvalidTag, 0};
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    const size_t c =
+        ++count[(uint64_t{g.Tag(v)} << 32) | set.meta_of_node[v]];
+    if (c > best.second || (c == best.second && g.Tag(v) < best.first)) {
+      best = {g.Tag(v), c};
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 OracleReport RunDifferentialOracle(const core::Flix& flix,
@@ -215,25 +232,69 @@ OracleReport RunDifferentialOracle(const core::Flix& flix,
     if (type_pairs.size() == max_type_queries) break;
     type_pairs.push_back(pair);
   }
+  // One more pair whose start tag puts two or more starts into one
+  // partition, so every configuration replays a multi-seed entry batch;
+  // its streamed run must show the batch (one cursor pair for several
+  // entry points).
+  std::optional<std::pair<TagId, TagId>> batched_pair;
+  const auto [batch_tag, batch_size] =
+      MostCoPartitionedTag(global, flix.meta_documents());
+  if (batch_size >= 2) {
+    TagId result_tag = kInvalidTag;
+    for (const workload::DescendantQuery& q : queries) {
+      if (q.tag != batch_tag) {
+        result_tag = q.tag;
+        break;
+      }
+    }
+    for (NodeId v = 0; result_tag == kInvalidTag && v < global.NumNodes();
+         ++v) {
+      if (global.Tag(v) != batch_tag) result_tag = global.Tag(v);
+    }
+    if (result_tag != kInvalidTag) {
+      batched_pair.emplace(batch_tag, result_tag);
+      if (std::find(type_pairs.begin(), type_pairs.end(), *batched_pair) ==
+          type_pairs.end()) {
+        type_pairs.push_back(*batched_pair);
+      }
+    }
+  }
   const auto& pool = flix.collection().pool();
   for (const auto& [start_tag, result_tag] : type_pairs) {
     const std::vector<graph::NodeDist> truth =
         TypeQueryTruth(global, start_tag, result_tag);
+    const std::string name = pool.Name(start_tag) + "//" +
+                             pool.Name(result_tag);
     for (const Mode& mode : modes) {
       if (mode.exact) continue;  // exact distances are diffed per start above
       ++report.queries_diffed;
       ++report.type_queries_diffed;
       std::vector<core::Result> results;
+      core::QueryStats stats;
       pee.EvaluateTypeQuery(start_tag, result_tag, mode.query,
                             [&results](const core::Result& r) {
                               results.push_back(r);
                               return true;
-                            });
-      if (auto diff = DiffResultSet(std::string(mode.name) + " " +
-                                        pool.Name(start_tag) + "//" +
-                                        pool.Name(result_tag),
+                            },
+                            &stats);
+      if (auto diff = DiffResultSet(std::string(mode.name) + " " + name,
                                     results, truth)) {
         report.diffs.push_back(*diff);
+      }
+      // Streaming opens one local and one frontier cursor per partition of
+      // an entry batch, so a batch of several admitted starts opens fewer
+      // than two cursors per entry point.
+      if (!mode.query.materialize && batched_pair.has_value() &&
+          *batched_pair == std::pair{start_tag, result_tag}) {
+        ++report.batched_type_queries;
+        if (stats.cursors_opened >= 2 * stats.entries_processed) {
+          report.diffs.push_back(
+              "streaming " + name + ": " +
+              std::to_string(stats.cursors_opened) + " cursors for " +
+              std::to_string(stats.entries_processed) +
+              " entry points — the starts sharing a partition were not "
+              "batched into one multi-source cursor");
+        }
       }
     }
   }

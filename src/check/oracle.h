@@ -10,7 +10,10 @@
 //   * exact mode: set, per-node distance, and ascending emission order must
 //     all match the BFS ground truth;
 //   * A//B type queries (streaming and materialized): the result set equals
-//     a multi-source BFS from every element of the start tag;
+//     a multi-source BFS from every element of the start tag. One of them
+//     starts from the tag with the most elements in one partition, and its
+//     streamed run must batch them: fewer cursors opened than two per
+//     entry point processed;
 //   * connection tests: IsConnected and IsConnectedBidirectional agree with
 //     BFS reachability and FindDistance returns the true shortest distance.
 //
@@ -42,6 +45,8 @@ struct OracleReport {
   // them were type queries and bidirectional connection tests.
   size_t queries_diffed = 0;
   size_t type_queries_diffed = 0;
+  // Streamed type queries whose entry batching was checked.
+  size_t batched_type_queries = 0;
   size_t bidirectional_diffed = 0;
   std::vector<std::string> diffs;
 

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <memory>
 #include <queue>
+#include <span>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -180,6 +182,9 @@ class AdmittedEntries {
 // stops paying hash-table and heap growth after warm-up.
 struct QueryScratch {
   std::vector<StreamItem> stream_items;
+  // RunStreaming's current entry batch and one partition's admitted seeds.
+  std::vector<StreamItem> batch;
+  std::vector<NodeId> seeds;
   std::vector<QueueItem> queue_items;
   std::vector<PointItem> point_items;
   std::unordered_set<NodeId> start_set;
@@ -192,6 +197,8 @@ struct QueryScratch {
 
   void Clear() {
     stream_items.clear();
+    batch.clear();
+    seeds.clear();
     queue_items.clear();
     point_items.clear();
     start_set.clear();
@@ -465,6 +472,96 @@ void PathExpressionEvaluator::RunStreaming(const std::vector<NodeId>& starts,
                 ItemKind::kFrontier, slot});
   };
 
+  // Processes one partition's share of an entry batch: duplicate
+  // elimination per entry point, then one local and one frontier cursor
+  // over all admitted entries at once. Returns false when the sink stopped
+  // the query.
+  std::vector<NodeId>& seeds = scratch->seeds;
+  const auto open_batch = [&](uint32_t m,
+                              std::span<const StreamItem> group) -> bool {
+    const MetaDocument& meta = set_.docs[m];
+    // One snapshot per batch: every probe and cursor opened below works
+    // against this index even if a migration swaps the handle. A batch
+    // processed later may see the replacement — both are exact over the
+    // same local graph, so mixing them mid-query stays correct.
+    const std::shared_ptr<index::PathIndex> index = meta.index.Acquire();
+    obs::PartitionDelta* pdelta = profiler != nullptr ? &deltas[m] : nullptr;
+    obs::TraceSpan entry_span(nullptr, collecting ? "pee.entry" : nullptr);
+    if (entry_span.Collecting()) {
+      entry_span.AddAttr("partition", static_cast<int64_t>(m));
+      entry_span.AddAttr("strategy", index->name());
+    }
+    const Distance base = group.front().distance;
+
+    seeds.clear();
+    for (const StreamItem& entry : group) {
+      const NodeId e = entry.node;
+      const NodeId le = set_.local_of_node[e];
+      if (!entries[m].Admit(le, index, forward, stats->dominance_probes)) {
+        ++stats->entries_dominated;
+        if (pdelta != nullptr) ++pdelta->entries_dominated;
+        continue;
+      }
+      ++stats->entries_processed;
+      if (pdelta != nullptr) ++pdelta->entries_processed;
+      seeds.push_back(le);
+      // The entry element itself is a proper result when it was reached via
+      // a link (not an original start) and matches the condition. The
+      // cursors below never yield their seeds.
+      if (!start_set.contains(e) && (wildcard || meta.graph.Tag(le) == tag)) {
+        if (!emit(e, base)) return false;
+      }
+    }
+    if (entry_span.Collecting()) {
+      entry_span.AddAttr("seeds", static_cast<int64_t>(seeds.size()));
+    }
+    if (seeds.empty()) return true;
+
+    // Local probe: a lazy cursor over matches within the meta document,
+    // each at its distance from the nearest seed.
+    {
+      obs::TraceSpan cursor_span(nullptr,
+                                 collecting ? "pee.cursor.local" : nullptr);
+      ++stats->index_probes;
+      ++stats->cursors_opened;
+      if (pdelta != nullptr) {
+        ++pdelta->index_probes;
+        ++pdelta->cursors_opened;
+      }
+      slots.push_back({index->MultiSourceCursor(seeds, tag, wildcard, forward),
+                       index, base, m, pdelta});
+      const uint32_t slot = static_cast<uint32_t>(slots.size() - 1);
+      if (slots[slot].cursor != nullptr) {
+        // The cursor keeps only one item queued at a time, but each result
+        // it yields transits the queue; a hint-capped reserve absorbs that
+        // churn without regrowing the heap mid-merge.
+        queue.reserve(queue.size() +
+                      std::min<size_t>(slots[slot].cursor->RemainingHint(),
+                                       64));
+      }
+      arm_result(slot);
+    }
+
+    // Frontier probe: a lazy cursor over the link sources (or entry nodes,
+    // for the ancestors axis) the seeds reach.
+    {
+      obs::TraceSpan cursor_span(nullptr,
+                                 collecting ? "pee.cursor.frontier" : nullptr);
+      ++stats->index_probes;
+      ++stats->cursors_opened;
+      if (pdelta != nullptr) {
+        ++pdelta->index_probes;
+        ++pdelta->cursors_opened;
+      }
+      slots.push_back(
+          {index->MultiSourceAmongCursor(
+               seeds, forward ? meta.link_sources : meta.entry_nodes, forward),
+           index, base, m, pdelta});
+      arm_frontier(static_cast<uint32_t>(slots.size() - 1));
+    }
+    return true;
+  };
+
   while (!queue.empty()) {
     const StreamItem item = queue.top();
     queue.pop();
@@ -498,81 +595,35 @@ void PathExpressionEvaluator::RunStreaming(const std::vector<NodeId>& starts,
       continue;
     }
 
-    // kEntry: duplicate elimination, then open this entry point's cursors.
-    const NodeId e = item.node;
-    const uint32_t m = set_.meta_of_node[e];
-    const NodeId le = set_.local_of_node[e];
-    const MetaDocument& meta = set_.docs[m];
-    // One snapshot per entry point: every probe and cursor opened below
-    // works against this index even if a migration swaps the handle. An
-    // entry processed later may see the replacement — both are exact over
-    // the same local graph, so mixing them mid-query stays correct.
-    const std::shared_ptr<index::PathIndex> index = meta.index.Acquire();
-    obs::PartitionDelta* pdelta = profiler != nullptr ? &deltas[m] : nullptr;
-    obs::TraceSpan entry_span(nullptr, collecting ? "pee.entry" : nullptr);
-    if (entry_span.Collecting()) {
-      entry_span.AddAttr("partition", static_cast<int64_t>(m));
-      entry_span.AddAttr("strategy", index->name());
+    // kEntry: take every entry point queued right behind this one at the
+    // same distance as one batch (all starts of an A//B query form one).
+    // Nothing the batch pushes is that near (results and hops are at least
+    // one step farther), so batching never moves an item ahead of a nearer
+    // one.
+    std::vector<StreamItem>& batch = scratch->batch;
+    batch.assign(1, item);
+    while (!queue.empty() && queue.top().kind == ItemKind::kEntry &&
+           queue.top().distance == item.distance) {
+      batch.push_back(queue.top());
+      queue.pop();
     }
-
-    if (!entries[m].Admit(le, index, forward, stats->dominance_probes)) {
-      ++stats->entries_dominated;
-      if (pdelta != nullptr) ++pdelta->entries_dominated;
-      continue;
+    if (batch.size() > 1) {
+      std::sort(batch.begin(), batch.end(),
+                [this](const StreamItem& a, const StreamItem& b) {
+                  return std::tie(set_.meta_of_node[a.node], a.seq) <
+                         std::tie(set_.meta_of_node[b.node], b.seq);
+                });
     }
-    ++stats->entries_processed;
-    if (pdelta != nullptr) ++pdelta->entries_processed;
-
-    // The entry element itself is a proper result when it was reached via a
-    // link (not an original start) and matches the condition.
-    const TagId e_tag = meta.graph.Tag(le);
-    if (!start_set.contains(e) && (wildcard || e_tag == tag)) {
-      if (!emit(e, item.distance)) return;
-    }
-
-    // Local probe: a lazy cursor over matches within the meta document.
-    {
-      obs::TraceSpan cursor_span(nullptr,
-                                 collecting ? "pee.cursor.local" : nullptr);
-      ++stats->index_probes;
-      ++stats->cursors_opened;
-      if (pdelta != nullptr) {
-        ++pdelta->index_probes;
-        ++pdelta->cursors_opened;
+    for (size_t first = 0; first < batch.size();) {
+      const uint32_t m = set_.meta_of_node[batch[first].node];
+      size_t last = first + 1;
+      while (last < batch.size() && set_.meta_of_node[batch[last].node] == m) {
+        ++last;
       }
-      slots.push_back(
-          {forward ? (wildcard ? index->DescendantsCursor(le)
-                               : index->DescendantsByTagCursor(le, tag))
-                   : index->AncestorsByTagCursor(le, tag),
-           index, item.distance, m, pdelta});
-      const uint32_t slot = static_cast<uint32_t>(slots.size() - 1);
-      if (slots[slot].cursor != nullptr) {
-        // The cursor keeps only one item queued at a time, but each result
-        // it yields transits the queue; a hint-capped reserve absorbs that
-        // churn without regrowing the heap mid-merge.
-        queue.reserve(queue.size() +
-                      std::min<size_t>(slots[slot].cursor->RemainingHint(),
-                                       64));
+      if (!open_batch(m, std::span(batch).subspan(first, last - first))) {
+        return;
       }
-      arm_result(slot);
-    }
-
-    // Frontier probe: a lazy cursor over the reachable link sources (or
-    // entry nodes, for the ancestors axis).
-    {
-      obs::TraceSpan cursor_span(nullptr,
-                                 collecting ? "pee.cursor.frontier" : nullptr);
-      ++stats->index_probes;
-      ++stats->cursors_opened;
-      if (pdelta != nullptr) {
-        ++pdelta->index_probes;
-        ++pdelta->cursors_opened;
-      }
-      slots.push_back(
-          {forward ? index->ReachableAmongCursor(le, meta.link_sources)
-                   : index->AncestorsAmongCursor(le, meta.entry_nodes),
-           index, item.distance, m, pdelta});
-      arm_frontier(static_cast<uint32_t>(slots.size() - 1));
+      first = last;
     }
   }
 }

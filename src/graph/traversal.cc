@@ -55,12 +55,16 @@ Distance BfsDistance(const Digraph& g, NodeId source, NodeId target,
   return kUnreachable;
 }
 
-BfsFrontier::BfsFrontier(const Digraph& g, NodeId source, Direction dir,
-                         ExpandFilter filter)
+BfsFrontier::BfsFrontier(const Digraph& g, std::span<const NodeId> sources,
+                         Direction dir, ExpandFilter filter)
     : g_(g), dir_(dir), filter_(std::move(filter)) {
   visited_.assign(g.NumNodes(), 0);
-  visited_[source] = 1;
-  next_.push_back(source);
+  for (const NodeId source : sources) {
+    if (visited_[source]) continue;
+    visited_[source] = 1;
+    next_.push_back(source);
+  }
+  std::sort(next_.begin(), next_.end());
 }
 
 const std::vector<NodeId>& BfsFrontier::NextLevel() {

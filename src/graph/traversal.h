@@ -5,6 +5,7 @@
 #define FLIX_GRAPH_TRAVERSAL_H_
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -38,19 +39,25 @@ Distance BfsDistance(const Digraph& g, NodeId source, NodeId target,
 // lazy descendant/ancestor cursors of the traversal-based path indexes
 // (APEX, structure summaries).
 //
+// A frontier may start from several sources at once (the multi-source
+// cursors of the PEE's entry batches): they all sit at depth 0, so each
+// node's depth is its distance from the nearest source.
+//
 // An optional expand filter implements summary pruning: a node for which the
-// filter returns false is neither reported nor expanded (the source is
+// filter returns false is neither reported nor expanded (the sources are
 // exempt). Keeps a reference to `g`; the graph must outlive the generator.
 class BfsFrontier {
  public:
   using ExpandFilter = std::function<bool(NodeId)>;
 
-  BfsFrontier(const Digraph& g, NodeId source,
+  // `sources` may hold duplicates; it is copied.
+  BfsFrontier(const Digraph& g, std::span<const NodeId> sources,
               Direction dir = Direction::kForward, ExpandFilter filter = {});
 
   // Advances to the next depth level and returns its nodes in ascending id
   // order; empty once the traversal is exhausted. The first call returns
-  // {source} at depth 0. The reference is valid until the next call.
+  // the distinct sources at depth 0. The reference is valid until the next
+  // call.
   const std::vector<NodeId>& NextLevel();
 
   // Depth of the level most recently returned (-1 before the first call).

@@ -238,49 +238,77 @@ Distance ApexIndex::DistanceBetween(NodeId from, NodeId to) const {
   return PointSearch(from, to);
 }
 
+std::unique_ptr<NodeDistCursor> ApexIndex::BfsCursor(
+    std::span<const NodeId> sources, TagId tag, bool wildcard,
+    bool forward) const {
+  if (!forward) {
+    // Backward traversal; summary pruning does not apply (reachable_tags_
+    // is forward-only), so this is a plain lazy reverse BFS with tag
+    // filtering.
+    return std::make_unique<FrontierCursor>(
+        g_, sources, graph::Direction::kBackward,
+        graph::BfsFrontier::ExpandFilter{}, tag, /*wildcard=*/false,
+        /*include_source=*/false, std::nullopt, &ApexPullCounter());
+  }
+  graph::BfsFrontier::ExpandFilter filter;
+  if (!wildcard) {
+    filter = [this, tag](NodeId w) {
+      return BlockCanReachTag(block_of_[w], tag);
+    };
+  }
+  return std::make_unique<FrontierCursor>(
+      g_, sources, graph::Direction::kForward, std::move(filter), tag,
+      wildcard, /*include_source=*/false, std::nullopt, &ApexPullCounter());
+}
+
+std::unique_ptr<NodeDistCursor> ApexIndex::BfsAmongCursor(
+    std::span<const NodeId> sources, std::span<const NodeId> probe_set,
+    bool forward) const {
+  return std::make_unique<FrontierCursor>(
+      g_, sources,
+      forward ? graph::Direction::kForward : graph::Direction::kBackward,
+      graph::BfsFrontier::ExpandFilter{}, kInvalidTag, /*wildcard=*/true,
+      /*include_source=*/true,
+      std::unordered_set<NodeId>(probe_set.begin(), probe_set.end()),
+      &ApexPullCounter());
+}
+
 std::unique_ptr<NodeDistCursor> ApexIndex::DescendantsByTagCursor(
     NodeId from, TagId tag) const {
-  return std::make_unique<FrontierCursor>(
-      g_, from, graph::Direction::kForward,
-      [this, tag](NodeId w) { return BlockCanReachTag(block_of_[w], tag); },
-      tag, /*wildcard=*/false, /*include_source=*/false, std::nullopt,
-      &ApexPullCounter());
+  return BfsCursor({&from, 1}, tag, /*wildcard=*/false, /*forward=*/true);
 }
 
 std::unique_ptr<NodeDistCursor> ApexIndex::DescendantsCursor(
     NodeId from) const {
-  return std::make_unique<FrontierCursor>(
-      g_, from, graph::Direction::kForward, graph::BfsFrontier::ExpandFilter{},
-      kInvalidTag, /*wildcard=*/true, /*include_source=*/false, std::nullopt,
-      &ApexPullCounter());
+  return BfsCursor({&from, 1}, kInvalidTag, /*wildcard=*/true,
+                   /*forward=*/true);
 }
 
 std::unique_ptr<NodeDistCursor> ApexIndex::AncestorsByTagCursor(
     NodeId from, TagId tag) const {
-  // Backward traversal; summary pruning does not apply (reachable_tags_ is
-  // forward-only), so this is a plain lazy reverse BFS with tag filtering.
-  return std::make_unique<FrontierCursor>(
-      g_, from, graph::Direction::kBackward, graph::BfsFrontier::ExpandFilter{},
-      tag, /*wildcard=*/false, /*include_source=*/false, std::nullopt,
-      &ApexPullCounter());
+  return BfsCursor({&from, 1}, tag, /*wildcard=*/false, /*forward=*/false);
 }
 
 std::unique_ptr<NodeDistCursor> ApexIndex::ReachableAmongCursor(
     NodeId from, std::span<const NodeId> targets) const {
-  return std::make_unique<FrontierCursor>(
-      g_, from, graph::Direction::kForward, graph::BfsFrontier::ExpandFilter{},
-      kInvalidTag, /*wildcard=*/true, /*include_source=*/true,
-      std::unordered_set<NodeId>(targets.begin(), targets.end()),
-      &ApexPullCounter());
+  return BfsAmongCursor({&from, 1}, targets, /*forward=*/true);
 }
 
 std::unique_ptr<NodeDistCursor> ApexIndex::AncestorsAmongCursor(
     NodeId from, std::span<const NodeId> sources) const {
-  return std::make_unique<FrontierCursor>(
-      g_, from, graph::Direction::kBackward, graph::BfsFrontier::ExpandFilter{},
-      kInvalidTag, /*wildcard=*/true, /*include_source=*/true,
-      std::unordered_set<NodeId>(sources.begin(), sources.end()),
-      &ApexPullCounter());
+  return BfsAmongCursor({&from, 1}, sources, /*forward=*/false);
+}
+
+std::unique_ptr<NodeDistCursor> ApexIndex::NewMultiSourceCursor(
+    std::span<const NodeId> seeds, TagId tag, bool wildcard,
+    bool forward) const {
+  return BfsCursor(seeds, tag, wildcard, forward);
+}
+
+std::unique_ptr<NodeDistCursor> ApexIndex::NewMultiSourceAmongCursor(
+    std::span<const NodeId> seeds, std::span<const NodeId> probe_set,
+    bool forward) const {
+  return BfsAmongCursor(seeds, probe_set, forward);
 }
 
 void ApexIndex::SaveSegment(storage::SegmentWriter& seg) const {

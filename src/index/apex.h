@@ -86,6 +86,15 @@ class ApexIndex : public PathIndex {
     return extents_[block];
   }
 
+ protected:
+  // Multi-source BFS: all seeds start at depth 0.
+  std::unique_ptr<NodeDistCursor> NewMultiSourceCursor(
+      std::span<const NodeId> seeds, TagId tag, bool wildcard,
+      bool forward) const override;
+  std::unique_ptr<NodeDistCursor> NewMultiSourceAmongCursor(
+      std::span<const NodeId> seeds, std::span<const NodeId> probe_set,
+      bool forward) const override;
+
  private:
   friend struct CorruptionHook;
 
@@ -100,6 +109,16 @@ class ApexIndex : public PathIndex {
   // Summary-pruned point lookup: BFS from `from` that prunes branches
   // whose block cannot reach `stop_at`'s block, stopping at `stop_at`.
   Distance PointSearch(NodeId from, NodeId stop_at) const;
+
+  // Summary-pruned BFS cursors from every source at once: the multi-source
+  // and single-source cursors are the same traversal, since the pruning
+  // filter (block reaches the tag) does not depend on the source.
+  std::unique_ptr<NodeDistCursor> BfsCursor(std::span<const NodeId> sources,
+                                            TagId tag, bool wildcard,
+                                            bool forward) const;
+  std::unique_ptr<NodeDistCursor> BfsAmongCursor(
+      std::span<const NodeId> sources, std::span<const NodeId> probe_set,
+      bool forward) const;
 
   const graph::Digraph& g_;
   storage::FlatVec<uint32_t> block_of_;

@@ -296,19 +296,22 @@ obs::Counter& HopiPullCounter() {
 // *first* pop of a node carries its 2-hop distance (min over common hubs) —
 // later pops of the same node are dropped via the seen set. Tag filtering
 // happens on pop; unmatched nodes still cost a heap round but no
-// materialization ever happens.
+// materialization ever happens. `from_labels` may also be the fold of
+// several seeds' labels (HopiIndex::FoldLabels): the merge then yields the
+// distance from the nearest seed.
 class HopiMergeCursor : public index::NodeDistCursor {
  public:
+  // `exclude` lists nodes never to yield (the query origins).
   HopiMergeCursor(std::span<const HopiIndex::LabelEntry> from_labels,
                   const storage::FlatRows<HopiIndex::LabelEntry>& inverted,
                   std::span<const TagId> tag_of, TagId tag, bool wildcard,
-                  NodeId exclude)
+                  std::span<const NodeId> exclude)
       : inverted_(inverted),
         tag_of_(tag_of),
         tag_(tag),
         wildcard_(wildcard),
-        exclude_(exclude),
         seen_(tag_of.size(), 0) {
+    for (const NodeId v : exclude) seen_[v] = 1;
     heads_.reserve(from_labels.size());
     for (const HopiIndex::LabelEntry& hub_entry : from_labels) {
       const std::span<const HopiIndex::LabelEntry> list =
@@ -333,7 +336,7 @@ class HopiMergeCursor : public index::NodeDistCursor {
         heap_.push({head.base + list[head.pos].distance, list[head.pos].hub,
                     top.list});
       }
-      if (top.node == exclude_ || seen_[top.node]) continue;
+      if (seen_[top.node]) continue;
       seen_[top.node] = 1;
       if (!wildcard_ && tag_of_[top.node] != tag_) continue;
       HopiPullCounter().Increment();
@@ -370,7 +373,6 @@ class HopiMergeCursor : public index::NodeDistCursor {
   const std::span<const TagId> tag_of_;
   const TagId tag_;
   const bool wildcard_;
-  const NodeId exclude_;
   std::vector<uint8_t> seen_;
   std::vector<Head> heads_;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap_;
@@ -383,8 +385,36 @@ std::unique_ptr<NodeDistCursor> HopiIndex::MergeCursor(
     NodeId from, TagId tag, bool wildcard, NodeId exclude,
     const storage::FlatRows<LabelEntry>& labels,
     const storage::FlatRows<LabelEntry>& inverted) const {
-  return std::make_unique<HopiMergeCursor>(labels[from], inverted, tag_.span(),
-                                           tag, wildcard, exclude);
+  return std::make_unique<HopiMergeCursor>(
+      labels[from], inverted, tag_.span(), tag, wildcard,
+      exclude == kInvalidNode ? std::span<const NodeId>()
+                              : std::span<const NodeId>(&exclude, 1));
+}
+
+std::vector<HopiIndex::LabelEntry> HopiIndex::FoldLabels(
+    std::span<const NodeId> seeds,
+    const storage::FlatRows<LabelEntry>& labels) const {
+  // slot_of_rank[h] is 1 + h's position in `folded`, or 0. Per thread so
+  // the index stays shareable across query threads; every slot is zero
+  // again on return, so one array serves every index of this thread.
+  thread_local std::vector<uint32_t> slot_of_rank;
+  const size_t num_ranks = node_of_rank_.size();
+  if (slot_of_rank.size() < num_ranks) slot_of_rank.resize(num_ranks, 0);
+  std::vector<LabelEntry> folded;
+  for (const NodeId s : seeds) {
+    for (const LabelEntry& e : labels[s]) {
+      if (e.hub >= num_ranks) continue;  // a damaged rank never matches
+      uint32_t& slot = slot_of_rank[e.hub];
+      if (slot == 0) {
+        folded.push_back(e);
+        slot = static_cast<uint32_t>(folded.size());
+      } else if (e.distance < folded[slot - 1].distance) {
+        folded[slot - 1].distance = e.distance;
+      }
+    }
+  }
+  for (const LabelEntry& e : folded) slot_of_rank[e.hub] = 0;
+  return folded;
 }
 
 std::unique_ptr<NodeDistCursor> HopiIndex::DescendantsByTagCursor(
@@ -403,6 +433,37 @@ std::unique_ptr<NodeDistCursor> HopiIndex::AncestorsByTagCursor(
     NodeId from, TagId tag) const {
   return MergeCursor(from, tag, /*wildcard=*/false, from, in_labels_,
                      inverted_out_);
+}
+
+std::unique_ptr<NodeDistCursor> HopiIndex::NewMultiSourceCursor(
+    std::span<const NodeId> seeds, TagId tag, bool wildcard,
+    bool forward) const {
+  const std::vector<LabelEntry> folded =
+      FoldLabels(seeds, forward ? out_labels_ : in_labels_);
+  return std::make_unique<HopiMergeCursor>(
+      folded, forward ? inverted_in_ : inverted_out_, tag_.span(), tag,
+      wildcard, seeds);
+}
+
+std::unique_ptr<NodeDistCursor> HopiIndex::NewMultiSourceAmongCursor(
+    std::span<const NodeId> seeds, std::span<const NodeId> probe_set,
+    bool forward) const {
+  // The filtered lists of a registered probe set take the same fold; a
+  // seed in the probe set streams out at distance 0 through its own
+  // (self, 0) hub entry.
+  if (forward && !registered_sources_.empty() &&
+      SameIds(probe_set, registered_sources_)) {
+    return std::make_unique<HopiMergeCursor>(
+        FoldLabels(seeds, out_labels_), inverted_in_sources_, tag_.span(),
+        kInvalidTag, /*wildcard=*/true, std::span<const NodeId>());
+  }
+  if (!forward && !registered_entries_.empty() &&
+      SameIds(probe_set, registered_entries_)) {
+    return std::make_unique<HopiMergeCursor>(
+        FoldLabels(seeds, in_labels_), inverted_out_entries_, tag_.span(),
+        kInvalidTag, /*wildcard=*/true, std::span<const NodeId>());
+  }
+  return PathIndex::NewMultiSourceAmongCursor(seeds, probe_set, forward);
 }
 
 std::vector<NodeDist> HopiIndex::Collect(

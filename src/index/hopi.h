@@ -122,6 +122,17 @@ class HopiIndex : public PathIndex {
   // used for enumeration); matches what the paper stores in its database.
   size_t LabelBytes() const;
 
+ protected:
+  // One merge over the seeds' folded labels (see FoldLabels): dist(S, v) =
+  // min over hubs h of (min over seeds s of dist(s, h)) + dist(h, v), so
+  // the multi-source cursor costs one merge, not one per seed.
+  std::unique_ptr<NodeDistCursor> NewMultiSourceCursor(
+      std::span<const NodeId> seeds, TagId tag, bool wildcard,
+      bool forward) const override;
+  std::unique_ptr<NodeDistCursor> NewMultiSourceAmongCursor(
+      std::span<const NodeId> seeds, std::span<const NodeId> probe_set,
+      bool forward) const override;
+
  private:
   friend struct CorruptionHook;
 
@@ -140,6 +151,13 @@ class HopiIndex : public PathIndex {
       NodeId from, TagId tag, bool wildcard, NodeId exclude,
       const storage::FlatRows<LabelEntry>& labels,
       const storage::FlatRows<LabelEntry>& inverted) const;
+
+  // The seeds' labels folded into one label: each hub rank once, at its
+  // minimum distance over the seeds, in first-seen order (the merge heap
+  // needs no order). One pass over a dense per-thread rank array.
+  std::vector<LabelEntry> FoldLabels(
+      std::span<const NodeId> seeds,
+      const storage::FlatRows<LabelEntry>& labels) const;
 
   // Bulk enumeration: relax dist(from, v) over all of from's hubs into a
   // dense scratch array, then sort once.

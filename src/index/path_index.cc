@@ -1,9 +1,11 @@
 #include "index/path_index.h"
 
 #include <algorithm>
+#include <queue>
 #include <string>
 #include <tuple>
 
+#include "common/dcheck.h"
 #include "common/rng.h"
 #include "index/apex.h"
 #include "index/hopi.h"
@@ -24,15 +26,15 @@ std::string_view StrategyName(StrategyKind kind) {
   return "UNKNOWN";
 }
 
-FrontierCursor::FrontierCursor(const graph::Digraph& g, NodeId source,
+FrontierCursor::FrontierCursor(const graph::Digraph& g,
+                               std::span<const NodeId> sources,
                                graph::Direction dir,
                                graph::BfsFrontier::ExpandFilter filter,
                                TagId tag, bool wildcard, bool include_source,
                                std::optional<std::unordered_set<NodeId>> wanted,
                                obs::Counter* pull_counter)
     : g_(g),
-      frontier_(g, source, dir, std::move(filter)),
-      source_(source),
+      frontier_(g, sources, dir, std::move(filter)),
       tag_(tag),
       wildcard_(wildcard),
       include_source_(include_source),
@@ -47,8 +49,9 @@ std::optional<NodeDist> FrontierCursor::Next() {
     depth_ = frontier_.depth();
     buffer_.clear();
     pos_ = 0;
+    // Depth 0 is exactly the sources.
+    if (depth_ == 0 && !include_source_) continue;
     for (const NodeId v : level) {
-      if (v == source_ && !include_source_) continue;
       if (!wildcard_ && g_.Tag(v) != tag_) continue;
       if (wanted_.has_value() && !wanted_->contains(v)) continue;
       buffer_.push_back(v);
@@ -96,6 +99,125 @@ std::unique_ptr<NodeDistCursor> PathIndex::AncestorsAmongCursor(
   }
   SortByDistance(result);
   return std::make_unique<MaterializedCursor>(std::move(result));
+}
+
+std::unique_ptr<NodeDistCursor> PathIndex::MultiSourceCursor(
+    std::span<const NodeId> seeds, TagId tag, bool wildcard,
+    bool forward) const {
+  FLIX_DCHECK(forward || !wildcard, "no wildcard ancestors axis");
+  if (seeds.empty()) {
+    return std::make_unique<MaterializedCursor>(std::vector<NodeDist>{});
+  }
+  if (seeds.size() == 1) {
+    const NodeId from = seeds.front();
+    if (!forward) return AncestorsByTagCursor(from, tag);
+    return wildcard ? DescendantsCursor(from)
+                    : DescendantsByTagCursor(from, tag);
+  }
+  return NewMultiSourceCursor(seeds, tag, wildcard, forward);
+}
+
+std::unique_ptr<NodeDistCursor> PathIndex::MultiSourceAmongCursor(
+    std::span<const NodeId> seeds, std::span<const NodeId> probe_set,
+    bool forward) const {
+  if (seeds.empty()) {
+    return std::make_unique<MaterializedCursor>(std::vector<NodeDist>{});
+  }
+  if (seeds.size() == 1) {
+    return forward ? ReachableAmongCursor(seeds.front(), probe_set)
+                   : AncestorsAmongCursor(seeds.front(), probe_set);
+  }
+  return NewMultiSourceAmongCursor(seeds, probe_set, forward);
+}
+
+namespace {
+
+// K-way merge of single-source cursors (one per distinct seed), keyed by
+// (distance, node): the first pop of a node carries its minimum distance
+// over the seeds, later pops are dropped, and so are the `excluded` nodes.
+class UnionCursor : public NodeDistCursor {
+ public:
+  UnionCursor(std::vector<std::unique_ptr<NodeDistCursor>> parts,
+              std::vector<NodeId> excluded)
+      : parts_(std::move(parts)),
+        seen_(excluded.begin(), excluded.end()) {
+    for (uint32_t i = 0; i < parts_.size(); ++i) Refill(i);
+  }
+
+  std::optional<NodeDist> Next() override {
+    while (!heap_.empty()) {
+      const Head top = heap_.top();
+      heap_.pop();
+      Refill(top.part);
+      if (seen_.insert(top.node).second) return NodeDist{top.node, top.distance};
+    }
+    return std::nullopt;
+  }
+
+  Distance BoundHint() const override {
+    return heap_.empty() ? kUnreachable : heap_.top().distance;
+  }
+
+  // Counts a node once per seed that reaches it (best-effort).
+  size_t RemainingHint() const override {
+    size_t remaining = heap_.size();
+    for (const auto& part : parts_) remaining += part->RemainingHint();
+    return remaining;
+  }
+
+ private:
+  struct Head {
+    Distance distance;
+    NodeId node;
+    uint32_t part;
+
+    bool operator>(const Head& other) const {
+      return std::tie(distance, node) > std::tie(other.distance, other.node);
+    }
+  };
+
+  void Refill(uint32_t part) {
+    if (const std::optional<NodeDist> nd = parts_[part]->Next()) {
+      heap_.push({nd->distance, nd->node, part});
+    }
+  }
+
+  std::vector<std::unique_ptr<NodeDistCursor>> parts_;
+  std::unordered_set<NodeId> seen_;
+  std::priority_queue<Head, std::vector<Head>, std::greater<>> heap_;
+};
+
+std::vector<NodeId> DistinctSeeds(std::span<const NodeId> seeds) {
+  std::vector<NodeId> distinct(seeds.begin(), seeds.end());
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  return distinct;
+}
+
+}  // namespace
+
+std::unique_ptr<NodeDistCursor> PathIndex::NewMultiSourceCursor(
+    std::span<const NodeId> seeds, TagId tag, bool wildcard,
+    bool forward) const {
+  std::vector<NodeId> distinct = DistinctSeeds(seeds);
+  std::vector<std::unique_ptr<NodeDistCursor>> parts;
+  parts.reserve(distinct.size());
+  for (const NodeId s : distinct) {
+    parts.push_back(MultiSourceCursor({&s, 1}, tag, wildcard, forward));
+  }
+  return std::make_unique<UnionCursor>(std::move(parts), std::move(distinct));
+}
+
+std::unique_ptr<NodeDistCursor> PathIndex::NewMultiSourceAmongCursor(
+    std::span<const NodeId> seeds, std::span<const NodeId> probe_set,
+    bool forward) const {
+  std::vector<std::unique_ptr<NodeDistCursor>> parts;
+  for (const NodeId s : DistinctSeeds(seeds)) {
+    parts.push_back(MultiSourceAmongCursor({&s, 1}, probe_set, forward));
+  }
+  return std::make_unique<UnionCursor>(std::move(parts),
+                                       std::vector<NodeId>{});
 }
 
 std::vector<NodeDist> PathIndex::DescendantsByTag(NodeId from, TagId tag) const {

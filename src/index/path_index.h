@@ -124,17 +124,19 @@ class MaterializedCursor : public NodeDistCursor {
 // an early-closed cursor never traverses the remaining levels — this is
 // what makes top-k cheap for the traversal-backed strategies (APEX,
 // structure summaries), which wrap it with their summary-pruning filter.
+// Several sources make it the multi-source cursor of those strategies:
+// their pruning filters do not depend on the source.
 class FrontierCursor : public NodeDistCursor {
  public:
   // `wanted`, when set, restricts results to that node set (the Among
-  // probes). The source node is reported (at distance 0) only when
-  // `include_source` is true and it passes the filters.
+  // probes). The sources are reported (at distance 0) only when
+  // `include_source` is true and they pass the filters.
   // `pull_counter`, when non-null, is incremented once per yielded result —
   // strategies pass their own flix.cursor.pulled.* counter so the shared
   // frontier machinery stays strategy-agnostic.
-  FrontierCursor(const graph::Digraph& g, NodeId source, graph::Direction dir,
-                 graph::BfsFrontier::ExpandFilter filter, TagId tag,
-                 bool wildcard, bool include_source,
+  FrontierCursor(const graph::Digraph& g, std::span<const NodeId> sources,
+                 graph::Direction dir, graph::BfsFrontier::ExpandFilter filter,
+                 TagId tag, bool wildcard, bool include_source,
                  std::optional<std::unordered_set<NodeId>> wanted = {},
                  obs::Counter* pull_counter = nullptr);
 
@@ -145,7 +147,6 @@ class FrontierCursor : public NodeDistCursor {
  private:
   const graph::Digraph& g_;
   graph::BfsFrontier frontier_;
-  const NodeId source_;
   const TagId tag_;
   const bool wildcard_;
   const bool include_source_;
@@ -231,6 +232,26 @@ class PathIndex {
   virtual std::unique_ptr<NodeDistCursor> AncestorsAmongCursor(
       NodeId from, std::span<const NodeId> sources) const;
 
+  // Set-at-a-time enumeration, for the PEE's entry batches: every node
+  // reachable from some seed (forward) or reaching some seed (backward),
+  // once, at its minimum distance over all seeds, ascending by (distance,
+  // node id). A seed is never yielded, even when another seed reaches it.
+  // `wildcard` drops the tag filter; it needs `forward`, since there is no
+  // wildcard ancestors axis. Seeds may repeat. One seed opens the matching
+  // single-source cursor above, unchanged; none opens an empty cursor.
+  std::unique_ptr<NodeDistCursor> MultiSourceCursor(
+      std::span<const NodeId> seeds, TagId tag, bool wildcard,
+      bool forward) const;
+
+  // Set-at-a-time ReachableAmongCursor (forward) / AncestorsAmongCursor
+  // (backward): the elements of `probe_set` that some seed reaches (that
+  // reach some seed), at their minimum distance over all seeds. Like the
+  // single-source probes, and unlike MultiSourceCursor, a seed that is in
+  // `probe_set` is yielded, at distance 0.
+  std::unique_ptr<NodeDistCursor> MultiSourceAmongCursor(
+      std::span<const NodeId> seeds, std::span<const NodeId> probe_set,
+      bool forward) const;
+
   // Vector-returning conveniences: by default thin wrappers that drain the
   // matching cursor. Kept for persistence checks, step axes and batch
   // callers. A strategy overrides one when it has a bulk plan that beats
@@ -267,6 +288,18 @@ class PathIndex {
   // query. Returns the first violation found, with a pinpointing message.
   virtual Status Validate(const graph::Digraph& g,
                           const ValidateOptions& options = {}) const;
+
+ protected:
+  // Strategy hooks behind MultiSourceCursor / MultiSourceAmongCursor, called
+  // with two or more seeds (possibly repeated). The defaults merge one
+  // single-source cursor per distinct seed, keeping each node's first
+  // (smallest) pop; strategies with a set-level plan override them.
+  virtual std::unique_ptr<NodeDistCursor> NewMultiSourceCursor(
+      std::span<const NodeId> seeds, TagId tag, bool wildcard,
+      bool forward) const;
+  virtual std::unique_ptr<NodeDistCursor> NewMultiSourceAmongCursor(
+      std::span<const NodeId> seeds, std::span<const NodeId> probe_set,
+      bool forward) const;
 };
 
 // Sorts by (distance, node) — the canonical result order.

@@ -1,6 +1,7 @@
 #include "index/ppo.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/bytes.h"
 #include "graph/tree_utils.h"
@@ -28,25 +29,39 @@ obs::Counter& PpoPullCounter() {
   return counter;
 }
 
-// Lazy descendant cursor over the preorder interval of `from`'s subtree.
-// The interval is bucketed by relative depth on the first pull (one linear
-// scan, tag filter applied); each depth bucket is sorted by node id only
-// when the cursor reaches it. Early-closed cursors skip the remaining
-// sorts entirely.
+// Lazy descendant cursor over the preorder intervals of the seeds'
+// subtrees. The intervals are bucketed by distance on the first pull (one
+// linear scan, tag filter applied); each distance bucket is sorted by node
+// id only when the cursor reaches it. Early-closed cursors skip the
+// remaining sorts entirely.
+//
+// With several seeds the scan keeps a stack of the seeds enclosing the
+// current position (nested seeds push on top of their ancestors, so the
+// top is the nearest), and a node's distance is its depth minus the depth
+// of that nearest seed ancestor — exact in a forest, where the parent
+// chain is the only path. Seeds are never yielded.
 class PpoSubtreeCursor : public NodeDistCursor {
  public:
-  PpoSubtreeCursor(std::span<const uint32_t> depth,
+  // `seeds` must be distinct and sorted by preorder rank. It is copied only
+  // when it holds more than one seed, so a single-source cursor allocates
+  // nothing before its first pull.
+  PpoSubtreeCursor(std::span<const uint32_t> pre,
+                   std::span<const uint32_t> depth,
+                   std::span<const uint32_t> subtree_size,
                    std::span<const NodeId> order,
-                   std::span<const TagId> tag_of, NodeId from, TagId tag,
-                   bool wildcard, uint32_t begin, uint32_t end)
-      : depth_(depth),
+                   std::span<const TagId> tag_of,
+                   std::span<const NodeId> seeds, TagId tag, bool wildcard)
+      : pre_(pre),
+        depth_(depth),
+        subtree_size_(subtree_size),
         order_(order),
         tag_of_(tag_of),
-        from_depth_(depth[from]),
+        single_seed_(seeds.size() == 1 ? seeds.front() : kInvalidNode),
         tag_(tag),
-        wildcard_(wildcard),
-        begin_(begin),
-        end_(end) {}
+        wildcard_(wildcard) {
+    if (seeds.size() > 1) more_seeds_.assign(seeds.begin(), seeds.end());
+    for (const NodeId s : seeds) unscanned_ += subtree_size_[s] - 1;
+  }
 
   std::optional<NodeDist> Next() override {
     if (!initialized_) Initialize();
@@ -66,7 +81,7 @@ class PpoSubtreeCursor : public NodeDistCursor {
   }
 
   Distance BoundHint() const override {
-    if (!initialized_) return begin_ < end_ ? 1 : kUnreachable;
+    if (!initialized_) return unscanned_ > 0 ? 1 : kUnreachable;
     for (size_t b = bucket_; b < buckets_.size(); ++b) {
       if ((b == bucket_ ? pos_ : 0) < buckets_[b].size()) {
         return static_cast<Distance>(b + 1);
@@ -76,31 +91,72 @@ class PpoSubtreeCursor : public NodeDistCursor {
   }
 
   size_t RemainingHint() const override {
-    // Before the first pull the un-scanned interval is the best estimate.
-    return initialized_ ? remaining_ : end_ - begin_;
+    // Before the first pull the un-scanned intervals are the best estimate
+    // (an overestimate when seeds nest).
+    return initialized_ ? remaining_ : unscanned_;
   }
 
  private:
+  struct Enclosing {
+    uint32_t end;    // preorder rank one past the seed's subtree
+    uint32_t depth;  // the seed's depth
+  };
+
   void Initialize() {
     initialized_ = true;
-    for (uint32_t p = begin_; p < end_; ++p) {
+    const std::span<const NodeId> seeds =
+        more_seeds_.empty() ? std::span<const NodeId>(&single_seed_, 1)
+                            : std::span<const NodeId>(more_seeds_);
+    std::vector<Enclosing> nested;  // seeds inside the current root's subtree
+    size_t next = 0;                // next seed to reach, in preorder
+    while (next < seeds.size()) {
+      // A seed outside every scanned interval starts a new one. Between
+      // two seed boundaries the nearest seed stays the same, so each run
+      // of positions is one plain scan.
+      const NodeId root = seeds[next++];
+      const uint32_t end = pre_[root] + subtree_size_[root];
+      nested.clear();
+      uint32_t p = pre_[root] + 1;
+      while (p < end) {
+        while (!nested.empty() && nested.back().end <= p) nested.pop_back();
+        uint32_t stop = nested.empty() ? end : nested.back().end;
+        const bool seed_next =
+            next < seeds.size() && pre_[seeds[next]] < stop;
+        if (seed_next) stop = pre_[seeds[next]];
+        Scan(p, stop, nested.empty() ? depth_[root] : nested.back().depth);
+        p = stop;
+        if (seed_next) {
+          const NodeId seed = seeds[next++];
+          nested.push_back({p + subtree_size_[seed], depth_[seed]});
+          ++p;  // the seed itself is never yielded
+        }
+      }
+    }
+  }
+
+  // Buckets the preorder positions [begin, end), whose nearest seed
+  // ancestor sits at `seed_depth`.
+  void Scan(uint32_t begin, uint32_t end, uint32_t seed_depth) {
+    for (uint32_t p = begin; p < end; ++p) {
       const NodeId v = order_[p];
       if (!wildcard_ && tag_of_[v] != tag_) continue;
-      const size_t bucket = depth_[v] - from_depth_ - 1;
+      const size_t bucket = depth_[v] - seed_depth - 1;
       if (bucket >= buckets_.size()) buckets_.resize(bucket + 1);
       buckets_[bucket].push_back(v);
       ++remaining_;
     }
   }
 
+  const std::span<const uint32_t> pre_;
   const std::span<const uint32_t> depth_;
+  const std::span<const uint32_t> subtree_size_;
   const std::span<const NodeId> order_;
   const std::span<const TagId> tag_of_;
-  const uint32_t from_depth_;
+  const NodeId single_seed_;
+  std::vector<NodeId> more_seeds_;
   const TagId tag_;
   const bool wildcard_;
-  const uint32_t begin_;
-  const uint32_t end_;
+  size_t unscanned_ = 0;
 
   bool initialized_ = false;
   std::vector<std::vector<NodeId>> buckets_;
@@ -224,18 +280,21 @@ Distance PpoIndex::DistanceBetween(NodeId from, NodeId to) const {
   return static_cast<Distance>(depth_[to] - depth_[from]);
 }
 
+std::unique_ptr<NodeDistCursor> PpoIndex::SubtreeCursor(
+    std::span<const NodeId> seeds, TagId tag, bool wildcard) const {
+  return std::make_unique<PpoSubtreeCursor>(
+      pre_.span(), depth_.span(), subtree_size_.span(), order_.span(),
+      tag_.span(), seeds, tag, wildcard);
+}
+
 std::unique_ptr<NodeDistCursor> PpoIndex::DescendantsByTagCursor(
     NodeId from, TagId tag) const {
-  return std::make_unique<PpoSubtreeCursor>(
-      depth_.span(), order_.span(), tag_.span(), from, tag,
-      /*wildcard=*/false, pre_[from] + 1, pre_[from] + subtree_size_[from]);
+  return SubtreeCursor({&from, 1}, tag, /*wildcard=*/false);
 }
 
 std::unique_ptr<NodeDistCursor> PpoIndex::DescendantsCursor(
     NodeId from) const {
-  return std::make_unique<PpoSubtreeCursor>(
-      depth_.span(), order_.span(), tag_.span(), from, kInvalidTag,
-      /*wildcard=*/true, pre_[from] + 1, pre_[from] + subtree_size_[from]);
+  return SubtreeCursor({&from, 1}, kInvalidTag, /*wildcard=*/true);
 }
 
 std::unique_ptr<NodeDistCursor> PpoIndex::AncestorsByTagCursor(
@@ -303,6 +362,139 @@ std::vector<NodeDist> PpoIndex::ReachableAmong(
   }
   SortByDistance(result);
   return result;
+}
+
+std::unique_ptr<NodeDistCursor> PpoIndex::NewMultiSourceCursor(
+    std::span<const NodeId> seeds, TagId tag, bool wildcard,
+    bool forward) const {
+  // Ancestors: parent-chain walks are cheap; the base union merges them.
+  if (!forward) {
+    return PathIndex::NewMultiSourceCursor(seeds, tag, wildcard, forward);
+  }
+  std::vector<NodeId> sorted(seeds.begin(), seeds.end());
+  std::sort(sorted.begin(), sorted.end(),
+            [&](NodeId a, NodeId b) { return pre_[a] < pre_[b]; });
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  return SubtreeCursor(sorted, tag, wildcard);
+}
+
+std::unique_ptr<NodeDistCursor> PpoIndex::NewMultiSourceAmongCursor(
+    std::span<const NodeId> seeds, std::span<const NodeId> probe_set,
+    bool forward) const {
+  if (!forward) {
+    return PathIndex::NewMultiSourceAmongCursor(seeds, probe_set, forward);
+  }
+  // A probe's nearest seed ancestor(-or-self) is the last seed starting at
+  // or before it in preorder, when that seed's interval holds it; if not,
+  // it is one of the seeds enclosing that seed. So: seeds by preorder rank,
+  // each with its nearest enclosing seed (one stack pass), then one binary
+  // search per probe.
+  const auto contains = [this](NodeId s, NodeId t) {
+    return pre_[s] <= pre_[t] && pre_[t] < pre_[s] + subtree_size_[s];
+  };
+  std::vector<NodeId> sorted(seeds.begin(), seeds.end());
+  std::sort(sorted.begin(), sorted.end(),
+            [&](NodeId a, NodeId b) { return pre_[a] < pre_[b]; });
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  constexpr uint32_t kNone = ~uint32_t{0};
+  std::vector<uint32_t> enclosing(sorted.size(), kNone);
+  for (uint32_t i = 1; i < sorted.size(); ++i) {
+    uint32_t up = i - 1;
+    while (up != kNone && !contains(sorted[up], sorted[i])) {
+      up = enclosing[up];
+    }
+    enclosing[i] = up;
+  }
+  std::vector<NodeDist> result;
+  for (const NodeId t : probe_set) {
+    const auto after = std::upper_bound(
+        sorted.begin(), sorted.end(), pre_[t],
+        [this](uint32_t rank, NodeId s) { return rank < pre_[s]; });
+    uint32_t i = static_cast<uint32_t>(after - sorted.begin()) - 1;
+    while (i != kNone && !contains(sorted[i], t)) i = enclosing[i];
+    if (i != kNone) {
+      result.push_back(
+          {t, static_cast<Distance>(depth_[t] - depth_[sorted[i]])});
+    }
+  }
+  SortByDistance(result);
+  return std::make_unique<MaterializedCursor>(std::move(result));
+}
+
+namespace {
+
+// Interval dominance cover over sorted vectors. Forward: some added p
+// reaches x iff x's preorder rank lies in p's subtree interval. Subtree
+// intervals nest or are disjoint, so the cover keeps only the outermost
+// added intervals, disjoint and sorted; the one candidate for x is the last
+// interval starting at or before pre(x) — one binary search. Backward: x
+// reaches some added p iff p's preorder rank lies in x's interval
+// [pre(x), pre(x) + size(x)), one lower_bound over the added ranks.
+class PpoReachCover : public ReachCover {
+ public:
+  PpoReachCover(std::span<const uint32_t> pre,
+                std::span<const uint32_t> subtree_size, bool forward)
+      : pre_(pre), subtree_size_(subtree_size), forward_(forward) {}
+
+  void Add(NodeId p) override {
+    const uint32_t begin = pre_[p];
+    if (!forward_) {
+      ranks_.insert(std::lower_bound(ranks_.begin(), ranks_.end(), begin),
+                    begin);
+      return;
+    }
+    const auto next = Following(begin);
+    if (Inside(next, begin)) return;  // an outer interval already has it
+    // The new interval replaces the ones nested in it.
+    const uint32_t end = begin + subtree_size_[p];
+    auto nested_end = next;
+    while (nested_end != intervals_.end() && nested_end->begin < end) {
+      ++nested_end;
+    }
+    intervals_.insert(intervals_.erase(next, nested_end), {begin, end});
+  }
+
+  bool Covers(NodeId x) override {
+    ++probes_;
+    const uint32_t rank = pre_[x];
+    if (!forward_) {
+      const auto it = std::lower_bound(ranks_.begin(), ranks_.end(), rank);
+      return it != ranks_.end() && *it < rank + subtree_size_[x];
+    }
+    return Inside(Following(rank), rank);
+  }
+
+ private:
+  struct Interval {
+    uint32_t begin;
+    uint32_t end;  // exclusive
+  };
+  using Iterator = std::vector<Interval>::iterator;
+
+  // The first interval that starts after `rank`.
+  Iterator Following(uint32_t rank) {
+    return std::upper_bound(
+        intervals_.begin(), intervals_.end(), rank,
+        [](uint32_t r, const Interval& i) { return r < i.begin; });
+  }
+
+  // Whether the interval before `next` contains `rank`.
+  bool Inside(Iterator next, uint32_t rank) const {
+    return next != intervals_.begin() && std::prev(next)->end > rank;
+  }
+
+  const std::span<const uint32_t> pre_;
+  const std::span<const uint32_t> subtree_size_;
+  const bool forward_;
+  std::vector<Interval> intervals_;  // forward: outermost, sorted, disjoint
+  std::vector<uint32_t> ranks_;      // backward: sorted preorder ranks
+};
+
+}  // namespace
+
+std::unique_ptr<ReachCover> PpoIndex::NewReachCover(bool forward) const {
+  return std::make_unique<PpoReachCover>(pre_.span(), subtree_size_.span(),
+                                         forward);
 }
 
 void PpoIndex::SaveSegment(storage::SegmentWriter& seg) const {

@@ -32,6 +32,10 @@ class PpoIndex : public PathIndex {
 
   bool IsReachable(NodeId from, NodeId to) const override;
   Distance DistanceBetween(NodeId from, NodeId to) const override;
+  // Interval cover: one binary search over the outermost added subtree
+  // intervals (forward) or over the added preorder ranks (backward),
+  // instead of one window test per added node.
+  std::unique_ptr<ReachCover> NewReachCover(bool forward) const override;
   // Interval-scan cursor: buckets the subtree's preorder interval by depth
   // on the first pull, then emits depth level by depth level, sorting each
   // level only when it is reached — top-k pulls skip both the global sort
@@ -73,10 +77,28 @@ class PpoIndex : public PathIndex {
   uint32_t depth(NodeId n) const { return depth_[n]; }
   uint32_t subtree_size(NodeId n) const { return subtree_size_[n]; }
 
+ protected:
+  // Forward: one preorder scan over the seeds' subtree intervals with a
+  // stack of enclosing seeds (the pre/post containment of XISS/R), exact
+  // for nested seeds; the among probe is one binary search per probe over
+  // the seeds in preorder. Backward (ancestors queries only) keeps the
+  // base union of parent-chain walks.
+  std::unique_ptr<NodeDistCursor> NewMultiSourceCursor(
+      std::span<const NodeId> seeds, TagId tag, bool wildcard,
+      bool forward) const override;
+  std::unique_ptr<NodeDistCursor> NewMultiSourceAmongCursor(
+      std::span<const NodeId> seeds, std::span<const NodeId> probe_set,
+      bool forward) const override;
+
  private:
   friend struct CorruptionHook;
 
   PpoIndex() = default;
+
+  // Subtree scan cursor over `seeds` (distinct, sorted by preorder rank).
+  std::unique_ptr<NodeDistCursor> SubtreeCursor(std::span<const NodeId> seeds,
+                                                TagId tag,
+                                                bool wildcard) const;
 
   storage::FlatVec<uint32_t> pre_;
   storage::FlatVec<uint32_t> post_;

@@ -281,50 +281,73 @@ Distance SummaryIndex::DistanceBetween(NodeId from, NodeId to) const {
   return PointSearch(from, to);
 }
 
+std::unique_ptr<NodeDistCursor> SummaryIndex::BfsCursor(
+    std::span<const NodeId> sources, TagId tag, bool wildcard,
+    bool forward) const {
+  graph::BfsFrontier::ExpandFilter filter;
+  if (!forward) {
+    filter = [this, tag](NodeId w) {
+      return ReachedFromTag(block_of_[w], tag);
+    };
+  } else if (!wildcard) {
+    filter = [this, tag](NodeId w) { return CanReachTag(block_of_[w], tag); };
+  }
+  return std::make_unique<FrontierCursor>(
+      g_, sources,
+      forward ? graph::Direction::kForward : graph::Direction::kBackward,
+      std::move(filter), tag, wildcard, /*include_source=*/false,
+      std::nullopt, &SummaryPullCounter());
+}
+
+std::unique_ptr<NodeDistCursor> SummaryIndex::BfsAmongCursor(
+    std::span<const NodeId> sources, std::span<const NodeId> probe_set,
+    bool forward) const {
+  return std::make_unique<FrontierCursor>(
+      g_, sources,
+      forward ? graph::Direction::kForward : graph::Direction::kBackward,
+      graph::BfsFrontier::ExpandFilter{}, kInvalidTag, /*wildcard=*/true,
+      /*include_source=*/true,
+      std::unordered_set<NodeId>(probe_set.begin(), probe_set.end()),
+      &SummaryPullCounter());
+}
+
 std::unique_ptr<NodeDistCursor> SummaryIndex::DescendantsByTagCursor(
     NodeId from, TagId tag) const {
-  return std::make_unique<FrontierCursor>(
-      g_, from, graph::Direction::kForward,
-      [this, tag](NodeId w) { return CanReachTag(block_of_[w], tag); }, tag,
-      /*wildcard=*/false, /*include_source=*/false, std::nullopt,
-      &SummaryPullCounter());
+  return BfsCursor({&from, 1}, tag, /*wildcard=*/false, /*forward=*/true);
 }
 
 std::unique_ptr<NodeDistCursor> SummaryIndex::DescendantsCursor(
     NodeId from) const {
-  return std::make_unique<FrontierCursor>(
-      g_, from, graph::Direction::kForward, graph::BfsFrontier::ExpandFilter{},
-      kInvalidTag, /*wildcard=*/true, /*include_source=*/false, std::nullopt,
-      &SummaryPullCounter());
+  return BfsCursor({&from, 1}, kInvalidTag, /*wildcard=*/true,
+                   /*forward=*/true);
 }
 
 std::unique_ptr<NodeDistCursor> SummaryIndex::AncestorsByTagCursor(
     NodeId from, TagId tag) const {
-  return std::make_unique<FrontierCursor>(
-      g_, from, graph::Direction::kBackward,
-      [this, tag](NodeId w) { return ReachedFromTag(block_of_[w], tag); }, tag,
-      /*wildcard=*/false, /*include_source=*/false, std::nullopt,
-      &SummaryPullCounter());
+  return BfsCursor({&from, 1}, tag, /*wildcard=*/false, /*forward=*/false);
 }
 
 std::unique_ptr<NodeDistCursor> SummaryIndex::ReachableAmongCursor(
     NodeId from, std::span<const NodeId> targets) const {
-  return std::make_unique<FrontierCursor>(
-      g_, from, graph::Direction::kForward, graph::BfsFrontier::ExpandFilter{},
-      kInvalidTag, /*wildcard=*/true, /*include_source=*/true,
-      std::unordered_set<NodeId>(targets.begin(), targets.end()),
-      &SummaryPullCounter());
+  return BfsAmongCursor({&from, 1}, targets, /*forward=*/true);
 }
 
 std::unique_ptr<NodeDistCursor> SummaryIndex::AncestorsAmongCursor(
     NodeId from, std::span<const NodeId> sources) const {
-  return std::make_unique<FrontierCursor>(
-      g_, from, graph::Direction::kBackward, graph::BfsFrontier::ExpandFilter{},
-      kInvalidTag, /*wildcard=*/true, /*include_source=*/true,
-      std::unordered_set<NodeId>(sources.begin(), sources.end()),
-      &SummaryPullCounter());
+  return BfsAmongCursor({&from, 1}, sources, /*forward=*/false);
 }
 
+std::unique_ptr<NodeDistCursor> SummaryIndex::NewMultiSourceCursor(
+    std::span<const NodeId> seeds, TagId tag, bool wildcard,
+    bool forward) const {
+  return BfsCursor(seeds, tag, wildcard, forward);
+}
+
+std::unique_ptr<NodeDistCursor> SummaryIndex::NewMultiSourceAmongCursor(
+    std::span<const NodeId> seeds, std::span<const NodeId> probe_set,
+    bool forward) const {
+  return BfsAmongCursor(seeds, probe_set, forward);
+}
 
 Status SummaryIndex::Validate(const graph::Digraph& g,
                               const ValidateOptions& options) const {

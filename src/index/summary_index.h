@@ -93,6 +93,15 @@ class SummaryIndex : public PathIndex {
     return extents_[block];
   }
 
+ protected:
+  // Multi-source BFS: all seeds start at depth 0.
+  std::unique_ptr<NodeDistCursor> NewMultiSourceCursor(
+      std::span<const NodeId> seeds, TagId tag, bool wildcard,
+      bool forward) const override;
+  std::unique_ptr<NodeDistCursor> NewMultiSourceAmongCursor(
+      std::span<const NodeId> seeds, std::span<const NodeId> probe_set,
+      bool forward) const override;
+
  private:
   friend struct CorruptionHook;
 
@@ -107,6 +116,16 @@ class SummaryIndex : public PathIndex {
   // Point lookup: forward BFS pruned by the target's tag reachability,
   // stopping at `stop_at`.
   Distance PointSearch(NodeId from, NodeId stop_at) const;
+
+  // Pruned BFS cursors from every source at once: the multi-source and
+  // single-source cursors are the same traversal, since the pruning filters
+  // (block reaches / is reached from the tag) do not depend on the source.
+  std::unique_ptr<NodeDistCursor> BfsCursor(std::span<const NodeId> sources,
+                                            TagId tag, bool wildcard,
+                                            bool forward) const;
+  std::unique_ptr<NodeDistCursor> BfsAmongCursor(
+      std::span<const NodeId> sources, std::span<const NodeId> probe_set,
+      bool forward) const;
 
   const graph::Digraph& g_;
   storage::FlatVec<uint32_t> block_of_;

@@ -85,6 +85,8 @@ TEST(OracleTest, CleanBuildShowsNoDiffs) {
     // A//B (streamed and materialized) and bidirectional connection tests
     // run in every configuration.
     EXPECT_GT(report.type_queries_diffed, 0u) << core::MdbConfigName(config);
+    // ... and one of the A//B queries hands a partition a multi-seed batch.
+    EXPECT_GT(report.batched_type_queries, 0u) << core::MdbConfigName(config);
     EXPECT_EQ(report.bidirectional_diffed, options.num_connection_pairs)
         << core::MdbConfigName(config);
   }
@@ -112,6 +114,7 @@ TEST(OracleTest, TypeQueriesOnMiniDblpShowNoDiffs) {
       EXPECT_TRUE(report.ok()) << core::MdbConfigName(config) << " bound "
                                << bound << ": " << report.diffs.front();
       EXPECT_GT(report.type_queries_diffed, 0u);
+      EXPECT_GT(report.batched_type_queries, 0u);
     }
   }
 }

@@ -2,7 +2,8 @@
 // directions, seeded random Add/Covers sequences over random forests, DAGs
 // and cyclic graphs must answer exactly what the brute-force "any
 // IsReachable" loop answers (and what BFS answers). HOPI's hub-union cover
-// is also run on a LoadIndexSegment-mapped instance.
+// and PPO's interval cover are also run on LoadIndexSegment-mapped
+// instances.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -131,8 +132,10 @@ void CheckCovers(const PathIndex& index, const graph::Digraph& g,
           << "x=" << x << " after " << added.size() << " adds, step " << step;
       const size_t spent = cover->probes() - before;
       // Pairwise covers spend one probe per IsReachable call (at most one
-      // per added node); the hub-union cover spends one per lookup.
-      if (index.kind() == StrategyKind::kHopi) {
+      // per added node); the index-native covers (HOPI's hub union, PPO's
+      // intervals) spend one per lookup.
+      if (index.kind() == StrategyKind::kHopi ||
+          index.kind() == StrategyKind::kPpo) {
         EXPECT_EQ(spent, 1u);
       } else {
         EXPECT_LE(spent, added.size());
@@ -208,6 +211,24 @@ TEST(HopiReachCoverTest, MappedMatchesPairwiseIsReachable) {
       ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
       CheckCovers(**mapped, g, seed, 450);
     }
+  }
+}
+
+// The interval cover reads pre/size/parent views of a mapped segment.
+TEST(PpoReachCoverTest, MappedMatchesPairwiseIsReachable) {
+  for (const uint64_t seed : {4, 5}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const graph::Digraph g = MakeGraph(Family::kForest, 150, seed);
+    auto built = PpoIndex::Build(g);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    storage::SegmentWriter seg;
+    SaveIndexSegment(**built, seg);
+    const std::vector<std::byte> payload = seg.Finish();
+    const auto view = storage::SegmentView::Parse(payload);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    auto mapped = LoadIndexSegment(*view, StrategyKind::kPpo, g);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    CheckCovers(**mapped, g, seed, 450);
   }
 }
 
