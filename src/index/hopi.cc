@@ -282,23 +282,36 @@ std::unique_ptr<ReachCover> HopiIndex::NewReachCover(bool forward) const {
 
 namespace {
 
-// Process-wide count of results yielded by HOPI merge cursors (resolved
-// once; Counter addresses survive MetricsRegistry::Reset()).
+// Process-wide HOPI merge-cursor counters (resolved once; Counter addresses
+// survive MetricsRegistry::Reset()): results yielded, heap pops, and list
+// entries a head stepped over without pushing them.
 obs::Counter& HopiPullCounter() {
   static obs::Counter& counter =
       obs::MetricsRegistry::Global().GetCounter(obs::names::kCursorPulledHopi);
+  return counter;
+}
+obs::Counter& HopiHeapPopCounter() {
+  static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
+      obs::names::kCursorHeapPopsHopi);
+  return counter;
+}
+obs::Counter& HopiSkippedCounter() {
+  static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
+      obs::names::kCursorSkippedHopi);
   return counter;
 }
 
 // K-way merge over the inverted lists of `from`'s hubs, keyed by
 // label-distance + entry-distance. Each list is ascending by (distance,
 // node), so the heap pops globally ascending (distance, node) pairs and the
-// *first* pop of a node carries its 2-hop distance (min over common hubs) —
-// later pops of the same node are dropped via the seen set. Tag filtering
-// happens on pop; unmatched nodes still cost a heap round but no
-// materialization ever happens. `from_labels` may also be the fold of
-// several seeds' labels (HopiIndex::FoldLabels): the merge then yields the
-// distance from the nearest seed.
+// *first* pop of a node carries its 2-hop distance (min over common hubs).
+// A head never pushes an entry it cannot yield: whenever it advances, it
+// steps over the entries of its own list whose node is already seen (yielded
+// or excluded) or, on a by-tag cursor, has another tag, so nearly every pop
+// is a result. Only a node that sits at the head of two lists at once pops
+// twice; the seen set drops the later pop. `from_labels` may also be the
+// fold of several seeds' labels (HopiIndex::FoldLabels): the merge then
+// yields the distance from the nearest seed.
 class HopiMergeCursor : public index::NodeDistCursor {
  public:
   // `exclude` lists nodes never to yield (the query origins).
@@ -314,31 +327,32 @@ class HopiMergeCursor : public index::NodeDistCursor {
     for (const NodeId v : exclude) seen_[v] = 1;
     heads_.reserve(from_labels.size());
     for (const HopiIndex::LabelEntry& hub_entry : from_labels) {
-      const std::span<const HopiIndex::LabelEntry> list =
-          inverted_[hub_entry.hub];
-      if (list.empty()) continue;
-      const uint32_t list_idx = static_cast<uint32_t>(heads_.size());
+      const size_t size = inverted_[hub_entry.hub].size();
+      if (size == 0) continue;
+      remaining_ += size;
       heads_.push_back({hub_entry.distance, hub_entry.hub, 0});
-      remaining_ += list.size();
-      heap_.push({hub_entry.distance + list.front().distance,
-                  list.front().hub, list_idx});
+      PushFrom(static_cast<uint32_t>(heads_.size() - 1));
     }
+  }
+
+  // The destructor flushes the tallies; a copy would count them twice.
+  HopiMergeCursor(const HopiMergeCursor&) = delete;
+  HopiMergeCursor& operator=(const HopiMergeCursor&) = delete;
+  ~HopiMergeCursor() override {
+    HopiHeapPopCounter().Add(heap_pops_);
+    HopiSkippedCounter().Add(skipped_);
   }
 
   std::optional<NodeDist> Next() override {
     while (!heap_.empty()) {
       const HeapEntry top = heap_.top();
       heap_.pop();
+      ++heap_pops_;
       --remaining_;
-      Head& head = heads_[top.list];
-      const std::span<const HopiIndex::LabelEntry> list = inverted_[head.hub];
-      if (++head.pos < list.size()) {
-        heap_.push({head.base + list[head.pos].distance, list[head.pos].hub,
-                    top.list});
-      }
+      ++heads_[top.list].pos;
+      PushFrom(top.list);
       if (seen_[top.node]) continue;
       seen_[top.node] = 1;
-      if (!wildcard_ && tag_of_[top.node] != tag_) continue;
       HopiPullCounter().Increment();
       return NodeDist{top.node, top.distance};
     }
@@ -349,11 +363,34 @@ class HopiMergeCursor : public index::NodeDistCursor {
     return heap_.empty() ? kUnreachable : heap_.top().distance;
   }
 
-  // Counts un-pulled list entries; an overestimate when a node occurs under
-  // several hubs (best-effort, observability only).
+  // Counts the list entries neither pulled nor skipped; an overestimate
+  // when a node occurs under several hubs (best-effort, observability only).
   size_t RemainingHint() const override { return remaining_; }
 
  private:
+  // Steps head `list` past the entries it cannot yield and pushes the first
+  // one it can, if any.
+  void PushFrom(uint32_t list) {
+    Head& head = heads_[list];
+    const std::span<const HopiIndex::LabelEntry> entries = inverted_[head.hub];
+    const size_t from = head.pos;
+    while (head.pos < entries.size() && !Yieldable(entries[head.pos].hub)) {
+      ++head.pos;
+    }
+    skipped_ += head.pos - from;
+    remaining_ -= head.pos - from;
+    if (head.pos < entries.size()) {
+      heap_.push({head.base + entries[head.pos].distance,
+                  entries[head.pos].hub, list});
+    }
+  }
+
+  // The tag test comes first: on a sparse tag it rejects most entries
+  // without touching the seen set.
+  bool Yieldable(NodeId v) const {
+    return (wildcard_ || tag_of_[v] == tag_) && !seen_[v];
+  }
+
   struct HeapEntry {
     Distance distance;
     NodeId node;
@@ -377,6 +414,9 @@ class HopiMergeCursor : public index::NodeDistCursor {
   std::vector<Head> heads_;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap_;
   size_t remaining_ = 0;
+  // Plain tallies, added to the process-wide counters once on destruction.
+  uint64_t heap_pops_ = 0;
+  uint64_t skipped_ = 0;
 };
 
 }  // namespace

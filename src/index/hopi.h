@@ -69,7 +69,9 @@ class HopiIndex : public PathIndex {
   // of `from`'s labels (each pre-sorted by distance), keyed by
   // label-distance + list-entry-distance — the first pop of a node is its
   // 2-hop distance, so results stream in exact (distance, node) order
-  // without materializing the reachable set.
+  // without materializing the reachable set. Each list head steps over
+  // entries already yielded or of the wrong tag before it enters the heap,
+  // so a pull costs about one heap pop however sparse the tag.
   std::unique_ptr<NodeDistCursor> DescendantsByTagCursor(
       NodeId from, TagId tag) const override;
   std::unique_ptr<NodeDistCursor> DescendantsCursor(NodeId from) const override;
@@ -79,10 +81,10 @@ class HopiIndex : public PathIndex {
       NodeId from, std::span<const NodeId> targets) const override;
   std::unique_ptr<NodeDistCursor> AncestorsAmongCursor(
       NodeId from, std::span<const NodeId> sources) const override;
-  // Bulk overrides: a full drain is cheaper as one dense relax over the
-  // inverted lists of `from`'s hubs (then a single sort) than as a k-way
-  // merge pulled to exhaustion — the cursors win only when the consumer
-  // stops early.
+  // Bulk overrides: one dense relax over the inverted lists of `from`'s
+  // hubs, then a single sort. Since the merge heads skip unyieldable
+  // entries, a cursor pulled to exhaustion costs about the same (DESIGN.md
+  // §5.1 has the numbers); these remain for the materialized PEE loop.
   std::vector<NodeDist> DescendantsByTag(NodeId from, TagId tag) const override;
   std::vector<NodeDist> Descendants(NodeId from) const override;
   std::vector<NodeDist> AncestorsByTag(NodeId from, TagId tag) const override;

@@ -78,6 +78,10 @@ inline constexpr char kCursorPulledHopi[] = "flix.cursor.pulled.hopi";
 inline constexpr char kCursorPulledApex[] = "flix.cursor.pulled.apex";
 inline constexpr char kCursorPulledSummary[] = "flix.cursor.pulled.summary";
 inline constexpr char kCursorPulledTc[] = "flix.cursor.pulled.tc";
+// HOPI merge-cursor work: heap pops, and inverted-list entries a head steps
+// over without pushing (already seen, or the wrong tag).
+inline constexpr char kCursorHeapPopsHopi[] = "flix.cursor.heap_pops.hopi";
+inline constexpr char kCursorSkippedHopi[] = "flix.cursor.skipped.hopi";
 
 // --- Query cache (flix/flix.cc gauges over QueryCache::Stats) -------------
 inline constexpr char kCacheSize[] = "flix.cache.size";

@@ -6,7 +6,9 @@
 // each node once at its minimum distance from the seed set, ascending by
 // (distance, node), and never a seed (the among probes yield seeds in the
 // probe set at distance 0). HOPI, PPO and APEX are also run on instances
-// mapped from a saved segment.
+// mapped from a saved segment. A last HOPI case uses a tag so sparse that
+// most inverted-list entries cannot be yielded, and also checks the
+// single-source cursors and both cursor hints after every pull.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +26,8 @@
 #include "index/ppo.h"
 #include "index/summary_index.h"
 #include "index/transitive_closure.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "storage/segment.h"
 
 namespace flix::index {
@@ -327,6 +331,156 @@ TEST(MultiSourceCursorEdgeTest, NoSeedsYieldNothing) {
   EXPECT_TRUE(
       DrainCursor(*index->MultiSourceAmongCursor(none, probes, true)).empty());
 }
+
+// --- Merge cursors where most inverted-list entries cannot be yielded -----
+//
+// A dense DAG gives every node many hubs whose inverted lists overlap, and a
+// tag carried by at most 5% of the nodes makes most entries of a by-tag
+// cursor's lists unmatched: each merge head steps over long runs of seen and
+// wrong-tag entries before it pushes one. Every cursor is checked against a
+// BFS, and so are its hints after every pull.
+
+constexpr TagId kSparseTag = 0;
+
+// Node v gets arcs from up to `fan_in` random earlier nodes; about 4% of the
+// nodes carry kSparseTag, the rest tags 1..3.
+graph::Digraph DenseDagWithSparseTag(size_t n, size_t fan_in, uint64_t seed) {
+  Rng rng(seed);
+  graph::Digraph g;
+  for (size_t i = 0; i < n; ++i) {
+    g.AddNode(rng.Bernoulli(0.04) ? kSparseTag
+                                  : static_cast<TagId>(1 + rng.Uniform(3)));
+  }
+  for (NodeId v = 1; v < n; ++v) {
+    for (size_t e = 0; e < fan_in; ++e) {
+      g.AddEdge(static_cast<NodeId>(rng.Uniform(v)), v);
+    }
+  }
+  return g;
+}
+
+// Drains `cursor`. Each BoundHint read before a Next must not exceed the
+// distance that Next yields, and each RemainingHint (read first and after
+// every Next) must cover the results still to come.
+std::vector<NodeDist> DrainWithHints(NodeDistCursor& cursor) {
+  std::vector<NodeDist> got;
+  std::vector<size_t> remaining = {cursor.RemainingHint()};
+  while (true) {
+    const Distance bound = cursor.BoundHint();
+    const std::optional<NodeDist> nd = cursor.Next();
+    if (!nd.has_value()) break;
+    EXPECT_LE(bound, nd->distance) << "BoundHint above the yielded distance";
+    got.push_back(*nd);
+    remaining.push_back(cursor.RemainingHint());
+  }
+  for (size_t i = 0; i < remaining.size(); ++i) {
+    EXPECT_GE(remaining[i], got.size() - i)
+        << "RemainingHint below the results still to come after " << i;
+  }
+  EXPECT_EQ(cursor.BoundHint(), kUnreachable);
+  return got;
+}
+
+// Every HOPI cursor kind on `index`: single-source by-tag, wildcard and
+// ancestors-by-tag from several starts; the multi-source fold (seeds never
+// yielded) in both directions; and the among cursors over `probes`, which
+// take the filtered-list merge when `probes` is registered on `index`.
+void CheckSparseTagCursors(const PathIndex& index, const graph::Digraph& g,
+                           const std::vector<NodeId>& probes) {
+  const NodeId n = static_cast<NodeId>(g.NumNodes());
+  const auto tagged = [&](NodeId v) { return g.Tag(v) == kSparseTag; };
+  const auto in_probes = [&](NodeId v) {
+    return std::binary_search(probes.begin(), probes.end(), v);
+  };
+  for (NodeId start = 0; start < n; start += n / 8) {
+    SCOPED_TRACE("start " + std::to_string(start));
+    const std::vector<Distance> down = SeedDistances(g, {start}, true);
+    const std::vector<Distance> up = SeedDistances(g, {start}, false);
+    const auto not_start = [&](NodeId v) { return v != start; };
+    EXPECT_EQ(DrainWithHints(*index.DescendantsByTagCursor(start, kSparseTag)),
+              Expected(down, [&](NodeId v) { return v != start && tagged(v); }));
+    EXPECT_EQ(DrainWithHints(*index.DescendantsCursor(start)),
+              Expected(down, not_start));
+    EXPECT_EQ(DrainWithHints(*index.AncestorsByTagCursor(start, kSparseTag)),
+              Expected(up, [&](NodeId v) { return v != start && tagged(v); }));
+    EXPECT_EQ(DrainWithHints(*index.ReachableAmongCursor(start, probes)),
+              Expected(down, in_probes));
+    EXPECT_EQ(DrainWithHints(*index.AncestorsAmongCursor(start, probes)),
+              Expected(up, in_probes));
+  }
+  // Seed sets that reach one another: a prefix of the DAG order, and
+  // nodes spread over the whole of it (repeating one).
+  const std::vector<std::vector<NodeId>> seed_sets = {
+      {0, 1, 2, 3, 5, 8},
+      {n / 7, n / 3, n / 2, n - 9, n / 3}};
+  for (const std::vector<NodeId>& seeds : seed_sets) {
+    SCOPED_TRACE("seeds from " + std::to_string(seeds.front()));
+    const auto not_seed = [&](NodeId v) {
+      return std::find(seeds.begin(), seeds.end(), v) == seeds.end();
+    };
+    for (const bool forward : {true, false}) {
+      SCOPED_TRACE(forward ? "forward" : "backward");
+      const std::vector<Distance> dist = SeedDistances(g, seeds, forward);
+      EXPECT_EQ(DrainWithHints(*index.MultiSourceCursor(
+                    seeds, kSparseTag, /*wildcard=*/false, forward)),
+                Expected(dist,
+                        [&](NodeId v) { return not_seed(v) && tagged(v); }));
+      if (forward) {
+        EXPECT_EQ(DrainWithHints(*index.MultiSourceCursor(
+                      seeds, kInvalidTag, /*wildcard=*/true, forward)),
+                  Expected(dist, not_seed));
+      }
+      EXPECT_EQ(
+          DrainWithHints(*index.MultiSourceAmongCursor(seeds, probes, forward)),
+          Expected(dist, in_probes));
+    }
+  }
+}
+
+class HopiSparseTagTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(HopiSparseTagTest, CursorsMatchBfsOnBuiltAndMappedInstances) {
+  const bool registered = GetParam();
+  const graph::Digraph g = DenseDagWithSparseTag(400, 4, 61);
+  size_t sparse = 0;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) sparse += g.Tag(v) == kSparseTag;
+  ASSERT_GT(sparse, 0u);
+  ASSERT_LE(sparse * 20, g.NumNodes()) << "the target tag must stay <= 5%";
+  // A probe set of about a third of the nodes, ascending.
+  std::vector<NodeId> probes;
+  Rng rng(67);
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    if (rng.Bernoulli(0.33)) probes.push_back(v);
+  }
+
+  const std::unique_ptr<HopiIndex> built = HopiIndex::Build(g);
+  storage::SegmentWriter seg;
+  built->SaveSegment(seg);
+  const std::vector<std::byte> payload = seg.Finish();
+  const auto view = storage::SegmentView::Parse(payload);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  auto mapped = HopiIndex::LoadSegment(*view);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  obs::Counter& skipped = obs::MetricsRegistry::Global().GetCounter(
+      obs::names::kCursorSkippedHopi);
+  for (HopiIndex* index : {built.get(), mapped->get()}) {
+    SCOPED_TRACE(index == built.get() ? "built" : "mapped");
+    if (registered) {
+      index->RegisterLinkSources(probes);
+      index->RegisterEntryNodes(probes);
+    }
+    const uint64_t skipped_before = skipped.Value();
+    CheckSparseTagCursors(*index, g, probes);
+    // The heads did step over entries, so the skip was exercised.
+    EXPECT_GT(skipped.Value(), skipped_before);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ProbeSets, HopiSparseTagTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Registered" : "Unregistered";
+                         });
 
 }  // namespace
 }  // namespace flix::index
