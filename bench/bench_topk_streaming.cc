@@ -2,10 +2,11 @@
 // time-to-k for top-k descendant queries, across three workload shapes.
 //
 // The lazy cursor pipeline should deliver the first result long before the
-// legacy path (QueryOptions::materialize), which drains every index probe
-// into a sorted block before emitting anything. The gap is widest on the
+// per-block mode (QueryOptions::materialize, flixctl --legacy). Both run on
+// the PEE's one evaluation loop; per-block mode drains each local probe
+// into a sorted block before emitting any of it. The gap is widest on the
 // monolithic-HOPI configuration over the DBLP-style corpus: one meta
-// document means the legacy path materializes the *entire* result set up
+// document means the per-block mode drains the *entire* result set up
 // front, while the cursor merge emits as soon as the first 2-hop lists
 // yield their heads.
 //
@@ -38,7 +39,9 @@ struct Timings {
   size_t results = 0;
 };
 
-// One timed query; k-capped at 100 results like the paper's Figure 5 runs.
+// One timed query. The sink never stops it, so every run drains the whole
+// answer: the time-to-k columns are read off the stream on the way, and
+// `total_ms` is the full drain time.
 Timings RunOnce(const core::Flix& flix, NodeId start, TagId tag,
                 bool wildcard, bool materialize) {
   Timings t;
@@ -142,7 +145,7 @@ int main(int argc, char** argv) {
   std::vector<Workload> workloads;
   {
     // Headline: monolithic HOPI over DBLP — one meta document, so the
-    // legacy path materializes everything before the first emit.
+    // per-block mode drains everything before the first emit.
     Workload w;
     w.label = "dblp-hopi";
     w.collection = bench::MakeCorpus(pubs);

@@ -266,7 +266,6 @@ OracleReport RunDifferentialOracle(const core::Flix& flix,
     const std::string name = pool.Name(start_tag) + "//" +
                              pool.Name(result_tag);
     for (const Mode& mode : modes) {
-      if (mode.exact) continue;  // exact distances are diffed per start above
       ++report.queries_diffed;
       ++report.type_queries_diffed;
       std::vector<core::Result> results;
@@ -277,13 +276,14 @@ OracleReport RunDifferentialOracle(const core::Flix& flix,
                               return true;
                             },
                             &stats);
-      if (auto diff = DiffResultSet(std::string(mode.name) + " " + name,
-                                    results, truth)) {
+      const std::string what = std::string(mode.name) + " " + name;
+      if (auto diff = mode.exact ? DiffExact(what, results, truth)
+                                 : DiffResultSet(what, results, truth)) {
         report.diffs.push_back(*diff);
       }
-      // Streaming opens one local and one frontier cursor per partition of
-      // an entry batch, so a batch of several admitted starts opens fewer
-      // than two cursors per entry point.
+      // Streaming (exact mode too) opens one local and one frontier cursor
+      // per partition of an entry batch, so a batch of several admitted
+      // starts opens fewer than two cursors per entry point.
       if (!mode.query.materialize && batched_pair.has_value() &&
           *batched_pair == std::pair{start_tag, result_tag}) {
         ++report.batched_type_queries;

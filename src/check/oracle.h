@@ -1,19 +1,20 @@
 // Differential query oracle: replays a sampled query workload through the
-// full FliX stack — streaming cursor evaluation, the legacy materialized
-// path, and exact mode — and diffs every answer against naive BFS over the
-// global element graph.
+// full FliX stack — the PEE's one evaluation loop in each of its modes:
+// streamed cursor merging, per-block emission (`materialize`), and exact
+// mode — and diffs every answer against naive BFS over the global element
+// graph.
 //
 // What each mode must guarantee (and what is diffed):
-//   * streaming / materialized: the result *set* is exact (every reachable
+//   * streaming / per-block: the result *set* is exact (every reachable
 //     matching element exactly once); distances and order may be the
 //     documented approximation, so only the node sets are compared;
 //   * exact mode: set, per-node distance, and ascending emission order must
 //     all match the BFS ground truth;
-//   * A//B type queries (streaming and materialized): the result set equals
-//     a multi-source BFS from every element of the start tag. One of them
+//   * A//B type queries (all three modes, diffed as above): the answer is a
+//     multi-source BFS from every element of the start tag. One of them
 //     starts from the tag with the most elements in one partition, and its
-//     streamed run must batch them: fewer cursors opened than two per
-//     entry point processed;
+//     streamed and exact runs must batch them: fewer cursors opened than
+//     two per entry point processed;
 //   * connection tests: IsConnected and IsConnectedBidirectional agree with
 //     BFS reachability and FindDistance returns the true shortest distance.
 //

@@ -13,7 +13,6 @@
 #include <ostream>
 #include <string>
 #include <type_traits>
-#include <vector>
 
 namespace flix {
 
@@ -29,26 +28,10 @@ class BinaryWriter {
 
   void WriteU32(uint32_t v) { WritePod(v); }
   void WriteU64(uint64_t v) { WritePod(v); }
-  void WriteI32(int32_t v) { WritePod(v); }
-  void WriteBool(bool v) { WritePod(static_cast<uint8_t>(v ? 1 : 0)); }
 
   void WriteString(const std::string& s) {
     WriteU64(s.size());
     out_.write(s.data(), static_cast<std::streamsize>(s.size()));
-  }
-
-  template <typename T>
-  void WriteVec(const std::vector<T>& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    WriteU64(v.size());
-    out_.write(reinterpret_cast<const char*>(v.data()),
-               static_cast<std::streamsize>(v.size() * sizeof(T)));
-  }
-
-  template <typename T>
-  void WriteNestedVec(const std::vector<std::vector<T>>& v) {
-    WriteU64(v.size());
-    for (const auto& inner : v) WriteVec(inner);
   }
 
   bool ok() const { return out_.good(); }
@@ -61,7 +44,7 @@ class BinaryReader {
  public:
   explicit BinaryReader(std::istream& in) : in_(in) {
     // Capture the stream length (when seekable) so corrupted size headers
-    // are rejected before allocating: a vector can never hold more bytes
+    // are rejected before allocating: a string can never hold more bytes
     // than the stream has left.
     const std::istream::pos_type current = in_.tellg();
     if (current != std::istream::pos_type(-1)) {
@@ -85,8 +68,6 @@ class BinaryReader {
 
   uint32_t ReadU32() { return ReadPod<uint32_t>(); }
   uint64_t ReadU64() { return ReadPod<uint64_t>(); }
-  int32_t ReadI32() { return ReadPod<int32_t>(); }
-  bool ReadBool() { return ReadPod<uint8_t>() != 0; }
 
   std::string ReadString() {
     const uint64_t size = ReadU64();
@@ -101,40 +82,6 @@ class BinaryReader {
       return {};
     }
     return s;
-  }
-
-  template <typename T>
-  std::vector<T> ReadVec() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const uint64_t size = ReadU64();
-    if (failed_ || size > MaxBytesLeft() / sizeof(T)) {
-      failed_ = true;
-      return {};
-    }
-    std::vector<T> v(size);
-    in_.read(reinterpret_cast<char*>(v.data()),
-             static_cast<std::streamsize>(size * sizeof(T)));
-    if (!in_.good()) {
-      failed_ = true;
-      return {};
-    }
-    return v;
-  }
-
-  template <typename T>
-  std::vector<std::vector<T>> ReadNestedVec() {
-    const uint64_t size = ReadU64();
-    // Each element needs at least an 8-byte size header in the stream.
-    if (failed_ || size > MaxBytesLeft() / sizeof(uint64_t)) {
-      failed_ = true;
-      return {};
-    }
-    std::vector<std::vector<T>> v(size);
-    for (auto& inner : v) {
-      inner = ReadVec<T>();
-      if (failed_) break;
-    }
-    return v;
   }
 
   bool ok() const { return !failed_ && in_.good(); }

@@ -47,9 +47,9 @@ struct PointItem {
   }
 };
 
-// Streaming-mode queue entry. Three kinds share one queue so entry points,
-// pending cursor results, and pending frontier hops merge into a single
-// globally ascending stream:
+// Run's queue entry. Three kinds share one queue so entry points, pending
+// cursor results, and pending frontier hops merge into a single globally
+// ascending stream:
 //   kEntry    — an entry point to process (node = global element id);
 //   kResult   — the head of an active local-result cursor (node = global
 //               result id, slot = owning cursor);
@@ -182,24 +182,21 @@ class AdmittedEntries {
 // stops paying hash-table and heap growth after warm-up.
 struct QueryScratch {
   std::vector<StreamItem> stream_items;
-  // RunStreaming's current entry batch and one partition's admitted seeds.
+  // Run's current entry batch and one partition's admitted seeds.
   std::vector<StreamItem> batch;
   std::vector<NodeId> seeds;
-  std::vector<QueueItem> queue_items;
   std::vector<PointItem> point_items;
   std::unordered_set<NodeId> start_set;
   std::vector<ActiveCursor> slots;
   std::unordered_map<uint32_t, AdmittedEntries> entries;
   std::unordered_set<NodeId> emitted;
   std::unordered_set<NodeId> processed;
-  std::unordered_map<NodeId, Distance> best;
   bool in_use = false;
 
   void Clear() {
     stream_items.clear();
     batch.clear();
     seeds.clear();
-    queue_items.clear();
     point_items.clear();
     start_set.clear();
     slots.clear();
@@ -208,7 +205,6 @@ struct QueryScratch {
     for (auto& [partition, admitted] : entries) admitted.Reset();
     emitted.clear();
     processed.clear();
-    best.clear();
   }
 };
 
@@ -369,18 +365,6 @@ void PathExpressionEvaluator::Run(const std::vector<NodeId>& starts, TagId tag,
                                   const QueryOptions& options,
                                   const ResultSink& sink,
                                   QueryStats* stats) const {
-  if (options.exact || options.materialize) {
-    RunMaterialized(starts, tag, wildcard, axis, options, sink, stats);
-  } else {
-    RunStreaming(starts, tag, wildcard, axis, options, sink, stats);
-  }
-}
-
-void PathExpressionEvaluator::RunStreaming(const std::vector<NodeId>& starts,
-                                           TagId tag, bool wildcard, Axis axis,
-                                           const QueryOptions& options,
-                                           const ResultSink& sink,
-                                           QueryStats* stats) const {
   const bool forward = axis == Axis::kDescendants;
   QueryStats local_stats;
   if (stats == nullptr) stats = &local_stats;
@@ -414,15 +398,28 @@ void PathExpressionEvaluator::RunStreaming(const std::vector<NodeId>& starts,
   std::vector<ActiveCursor>& slots = scratch->slots;
   CursorSavingsFlush savings{slots, *stats};
 
-  // Entry points per visited meta document (Section 5.1 duplicate
-  // elimination) and result-level dedup, as in the materializing path.
+  // Entry-point admission. By default the duplicate elimination of
+  // Section 5.1: an entry that an admitted entry of its meta document
+  // dominates is skipped. Exact mode instead admits each entry node once,
+  // at its first pop (PointQuery's rule): the queue ascends, so that pop
+  // carries the entry's minimum distance, every node's first emission
+  // carries its true distance, and results leave in ascending order.
+  // `emitted` is the result-level dedup of both rules.
   std::unordered_map<uint32_t, AdmittedEntries>& entries = scratch->entries;
+  std::unordered_set<NodeId>& processed = scratch->processed;
   std::unordered_set<NodeId>& emitted = scratch->emitted;
   int64_t num_results = 0;
+  // The paper's per-block emission: each local probe is drained into one
+  // ascending block and emitted whole (exact mode needs the merged order).
+  const bool per_block = options.materialize && !options.exact;
 
   const auto emit = [&](NodeId node, Distance distance) -> bool {
     if (!emitted.insert(node).second) return true;
-    if (emitted_count > 0 && distance < last_emitted_distance) ++out_of_order;
+    if (emitted_count > 0 && distance < last_emitted_distance) {
+      FLIX_DCHECK(!options.exact,
+                  "exact-mode results emitted out of ascending order");
+      ++out_of_order;
+    }
     last_emitted_distance = distance;
     ++emitted_count;
     // Results are attributed to the partition that holds the element.
@@ -472,10 +469,9 @@ void PathExpressionEvaluator::RunStreaming(const std::vector<NodeId>& starts,
                 ItemKind::kFrontier, slot});
   };
 
-  // Processes one partition's share of an entry batch: duplicate
-  // elimination per entry point, then one local and one frontier cursor
-  // over all admitted entries at once. Returns false when the sink stopped
-  // the query.
+  // Processes one partition's share of an entry batch: admission per entry
+  // point, then one local and one frontier cursor over all admitted entries
+  // at once. Returns false when the sink stopped the query.
   std::vector<NodeId>& seeds = scratch->seeds;
   const auto open_batch = [&](uint32_t m,
                               std::span<const StreamItem> group) -> bool {
@@ -497,7 +493,11 @@ void PathExpressionEvaluator::RunStreaming(const std::vector<NodeId>& starts,
     for (const StreamItem& entry : group) {
       const NodeId e = entry.node;
       const NodeId le = set_.local_of_node[e];
-      if (!entries[m].Admit(le, index, forward, stats->dominance_probes)) {
+      const bool admitted =
+          options.exact
+              ? processed.insert(e).second
+              : entries[m].Admit(le, index, forward, stats->dominance_probes);
+      if (!admitted) {
         ++stats->entries_dominated;
         if (pdelta != nullptr) ++pdelta->entries_dominated;
         continue;
@@ -528,18 +528,33 @@ void PathExpressionEvaluator::RunStreaming(const std::vector<NodeId>& starts,
         ++pdelta->index_probes;
         ++pdelta->cursors_opened;
       }
-      slots.push_back({index->MultiSourceCursor(seeds, tag, wildcard, forward),
-                       index, base, m, pdelta});
-      const uint32_t slot = static_cast<uint32_t>(slots.size() - 1);
-      if (slots[slot].cursor != nullptr) {
+      std::unique_ptr<index::NodeDistCursor> cursor =
+          index->MultiSourceCursor(seeds, tag, wildcard, forward);
+      if (per_block) {
+        // A block surfaces only once its probe is complete, so drain it all
+        // before the first emit. Its pulls count like a merged cursor's:
+        // one per element plus the final one.
+        const std::vector<index::NodeDist> block = index::DrainCursor(*cursor);
+        stats->cursor_pulls += block.size() + 1;
+        if (pdelta != nullptr) pdelta->cursor_pulls += block.size() + 1;
+        for (const index::NodeDist& r : block) {
+          const Distance total = base + r.distance;
+          if (options.max_distance >= 0 && total > options.max_distance) break;
+          const NodeId global = meta.global_nodes[r.node];
+          if (start_set.contains(global)) continue;
+          if (!emit(global, total)) return false;
+        }
+      } else {
+        slots.push_back({std::move(cursor), index, base, m, pdelta});
+        const uint32_t slot = static_cast<uint32_t>(slots.size() - 1);
         // The cursor keeps only one item queued at a time, but each result
         // it yields transits the queue; a hint-capped reserve absorbs that
         // churn without regrowing the heap mid-merge.
         queue.reserve(queue.size() +
                       std::min<size_t>(slots[slot].cursor->RemainingHint(),
                                        64));
+        arm_result(slot);
       }
-      arm_result(slot);
     }
 
     // Frontier probe: a lazy cursor over the link sources (or entry nodes,
@@ -624,178 +639,6 @@ void PathExpressionEvaluator::RunStreaming(const std::vector<NodeId>& starts,
         return;
       }
       first = last;
-    }
-  }
-}
-
-void PathExpressionEvaluator::RunMaterialized(
-    const std::vector<NodeId>& starts, TagId tag, bool wildcard, Axis axis,
-    const QueryOptions& options, const ResultSink& sink,
-    QueryStats* stats) const {
-  const bool forward = axis == Axis::kDescendants;
-  QueryStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-
-  // Per-query observability: latency span plus counter flush on every exit
-  // path (the sampled out-of-order rate feeds the Section 7 tuning loop).
-  PeeMetrics& metrics = PeeMetrics::Get();
-  obs::TraceSpan span(&metrics.latency_ns, "pee.query");
-  obs::WorkloadProfiler* profiler =
-      profiler_ != nullptr && profiler_->Enabled() ? profiler_ : nullptr;
-  obs::PartitionDeltaMap deltas;
-  size_t emitted_count = 0;
-  size_t out_of_order = 0;
-  Distance last_emitted_distance = 0;
-  QueryMetricsFlush flush{metrics,  *stats, emitted_count, out_of_order,
-                          profiler, deltas, span,          starts.size()};
-
-  // Reused per-thread state; see RunStreaming.
-  ScratchLease scratch;
-  BorrowedMinHeap<QueueItem> queue(scratch->queue_items);
-  uint64_t seq = 0;
-  queue.reserve(starts.size() + 16);
-  for (const NodeId s : starts) queue.push({0, seq++, s});
-  std::unordered_set<NodeId>& start_set = scratch->start_set;
-  start_set.insert(starts.begin(), starts.end());
-
-  // Entry points per visited meta document (paper Section 5.1). In exact
-  // mode the domination rule is off; instead each concrete entry node is
-  // processed once (Dijkstra semantics — the first pop carries its minimal
-  // distance), and result distances are relaxed across entries.
-  std::unordered_map<uint32_t, AdmittedEntries>& entries = scratch->entries;
-  std::unordered_set<NodeId>& processed = scratch->processed;
-  // Approximate mode: exact result-level duplicate elimination.
-  std::unordered_set<NodeId>& emitted = scratch->emitted;
-  // Exact mode: minimal distance per result node, emitted sorted at the end.
-  std::unordered_map<NodeId, Distance>& best = scratch->best;
-  int64_t num_results = 0;
-
-  const auto emit_approx = [&](NodeId node, Distance distance) -> bool {
-    if (!emitted.insert(node).second) return true;
-    if (emitted_count > 0 && distance < last_emitted_distance) ++out_of_order;
-    last_emitted_distance = distance;
-    ++emitted_count;
-    if (profiler != nullptr) {
-      ++deltas[set_.meta_of_node[node]].results_emitted;
-    }
-    if (!sink({node, distance})) return false;
-    if (options.max_results >= 0 && ++num_results >= options.max_results) {
-      return false;
-    }
-    return true;
-  };
-  const auto relax_exact = [&](NodeId node, Distance distance) {
-    const auto [it, inserted] = best.emplace(node, distance);
-    if (!inserted && distance < it->second) it->second = distance;
-  };
-
-  while (!queue.empty()) {
-    const QueueItem item = queue.top();
-    queue.pop();
-    if (options.max_distance >= 0 && item.distance > options.max_distance) {
-      break;
-    }
-    const NodeId e = item.node;
-    const uint32_t m = set_.meta_of_node[e];
-    const NodeId le = set_.local_of_node[e];
-    const MetaDocument& meta = set_.docs[m];
-    // Snapshot per entry point (see RunStreaming): all probes for this
-    // entry hit one index even across an online migration.
-    const std::shared_ptr<index::PathIndex> index = meta.index.Acquire();
-    obs::PartitionDelta* pdelta = profiler != nullptr ? &deltas[m] : nullptr;
-
-    if (options.exact) {
-      if (!processed.insert(e).second) {
-        ++stats->entries_dominated;
-        if (pdelta != nullptr) ++pdelta->entries_dominated;
-        continue;
-      }
-    } else {
-      // Duplicate elimination: if an earlier entry point dominates e (for
-      // descendants: is an ancestor-or-self of e), everything reachable
-      // from e has already been handled through it.
-      if (!entries[m].Admit(le, index, forward, stats->dominance_probes)) {
-        ++stats->entries_dominated;
-        if (pdelta != nullptr) ++pdelta->entries_dominated;
-        continue;
-      }
-    }
-    ++stats->entries_processed;
-    if (pdelta != nullptr) ++pdelta->entries_processed;
-
-    // The entry element itself is a proper result when it was reached via a
-    // link (not an original start) and matches the condition.
-    const TagId e_tag = meta.graph.Tag(le);
-    if (!start_set.contains(e) && (wildcard || e_tag == tag)) {
-      if (options.exact) {
-        relax_exact(e, item.distance);
-      } else if (!emit_approx(e, item.distance)) {
-        return;
-      }
-    }
-
-    // Local index probe: all matches within the meta document, ascending.
-    ++stats->index_probes;
-    if (pdelta != nullptr) ++pdelta->index_probes;
-    const std::vector<index::NodeDist> local_results =
-        forward ? (wildcard ? index->Descendants(le)
-                            : index->DescendantsByTag(le, tag))
-                : index->AncestorsByTag(le, tag);
-    for (const index::NodeDist& r : local_results) {
-      const NodeId global = meta.global_nodes[r.node];
-      if (start_set.contains(global)) continue;
-      const Distance total = item.distance + r.distance;
-      if (options.max_distance >= 0 && total > options.max_distance) continue;
-      if (options.exact) {
-        relax_exact(global, total);
-      } else if (!emit_approx(global, total)) {
-        return;
-      }
-    }
-
-    // Frontier expansion: elements of L_i (or the entry nodes, for the
-    // ancestors axis) reachable from e, then one hop across each link.
-    ++stats->index_probes;
-    if (pdelta != nullptr) ++pdelta->index_probes;
-    const std::vector<index::NodeDist> frontier =
-        forward ? index->ReachableAmong(le, meta.link_sources)
-                : index->AncestorsAmong(le, meta.entry_nodes);
-    for (const index::NodeDist& f : frontier) {
-      const std::span<const NodeId> hops =
-          forward ? meta.link_targets.At(f.node)
-                  : meta.entry_origins.At(f.node);
-      const Distance hop_distance = item.distance + f.distance + 1;
-      if (options.max_distance >= 0 && hop_distance > options.max_distance) {
-        continue;
-      }
-      queue.reserve(queue.size() + hops.size());
-      for (const NodeId target : hops) {
-        queue.push({hop_distance, seq++, target});
-        ++stats->links_followed;
-        if (pdelta != nullptr) ++pdelta->entry_fanout;
-      }
-    }
-  }
-
-  if (options.exact) {
-    std::vector<index::NodeDist> sorted;
-    sorted.reserve(best.size());
-    for (const auto& [node, distance] : best) sorted.push_back({node, distance});
-    index::SortByDistance(sorted);
-    Distance last = 0;
-    for (const index::NodeDist& nd : sorted) {
-      // Exact mode promises globally ascending emission order.
-      FLIX_DCHECK(nd.distance >= last,
-                  "exact-mode results emitted out of ascending order");
-      last = nd.distance;
-      ++emitted_count;
-      if (profiler != nullptr) {
-        ++deltas[set_.meta_of_node[nd.node]].results_emitted;
-      }
-      if (!sink({nd.node, nd.distance})) return;
-      if (options.max_results >= 0 && ++num_results >= options.max_results) {
-        return;
-      }
     }
   }
 }

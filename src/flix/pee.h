@@ -2,20 +2,23 @@
 // meta documents by combining per-meta-document index probes with run-time
 // link traversal (paper Section 5, Figure 4).
 //
-// The default evaluation mode is fully streamed: instead of materializing
-// each meta document's local result block, the PEE holds one lazy cursor per
-// probe (index::NodeDistCursor) and merges them through its priority queue.
-// Results therefore reach the sink in globally ascending distance order —
-// strictly tighter than the paper's per-block emission, which it reports as
-// 8-13% out-of-order — and an early stop (top-k, max_distance, sink cancel)
-// abandons the cursors before they traverse the rest of their ranges.
-// The result *set* is exact either way: every reachable matching element is
-// emitted exactly once (duplicate elimination via per-meta-document entry
-// points, Section 5.1, backed by an emitted-set membership filter).
+// One evaluation loop serves every mode. By default it is fully streamed:
+// instead of materializing each meta document's local result block, the PEE
+// holds one lazy cursor per probe (index::NodeDistCursor) and merges them
+// through its priority queue. Results therefore reach the sink in globally
+// ascending distance order — strictly tighter than the paper's per-block
+// emission, which it reports as 8-13% out-of-order — and an early stop
+// (top-k, max_distance, sink cancel) abandons the cursors before they
+// traverse the rest of their ranges. The result *set* is exact in every
+// mode: every reachable matching element is emitted exactly once (duplicate
+// elimination via per-meta-document entry points, Section 5.1, backed by an
+// emitted-set membership filter).
 //
-// `QueryOptions::materialize` restores the legacy drain-then-emit probes
-// (one ascending block per meta document) for comparison; exact mode always
-// materializes, since it must relax all candidate distances before sorting.
+// The two options change one rule each on that same loop:
+// `QueryOptions::materialize` drains each local probe into one ascending
+// block and emits it whole (the paper's per-block emission), and
+// `QueryOptions::exact` admits every entry point once at its minimum
+// distance instead of applying the duplicate-elimination rule.
 #ifndef FLIX_FLIX_PEE_H_
 #define FLIX_FLIX_PEE_H_
 
@@ -41,13 +44,14 @@ struct QueryOptions {
   int64_t max_results = -1;
   // Exact mode (the "returning results exactly sorted instead of
   // approximately" improvement of Section 7): entry points are not pruned
-  // by the duplicate-elimination rule, per-result distances are relaxed to
-  // their true minima, and the stream is emitted fully sorted. Trades the
-  // early first results for exact distances and order.
+  // by the duplicate-elimination rule; each is processed once, at its
+  // minimum distance, so every result carries its true distance and the
+  // stream is emitted in ascending order. Still streamed: an early stop
+  // ends the walk.
   bool exact = false;
-  // Legacy evaluation path: drain each index probe into a sorted vector
-  // before emitting (the paper's per-block behaviour) instead of merging
-  // lazy cursors. Exact mode implies this.
+  // Per-block emission (the paper's behaviour, and flixctl --legacy):
+  // drain each local probe into an ascending block and emit it whole,
+  // instead of merging its cursor through the queue. Ignored in exact mode.
   bool materialize = false;
 };
 
@@ -62,7 +66,7 @@ struct QueryStats {
   size_t dominance_probes = 0;
   size_t links_followed = 0;      // cross-meta-document hops enqueued
   size_t index_probes = 0;        // local index queries issued
-  size_t cursors_opened = 0;      // lazy probe cursors created (streaming)
+  size_t cursors_opened = 0;      // probe cursors created
   size_t cursor_pulls = 0;        // Next() calls across all cursors
   size_t cursor_saved = 0;        // results left unpulled by an early stop
 };
@@ -172,20 +176,11 @@ class PathExpressionEvaluator {
  private:
   enum class Axis { kDescendants, kAncestors };
 
+  // The evaluation loop behind every enumeration query: merges the entry
+  // points and lazy per-probe cursors through one priority queue.
   void Run(const std::vector<NodeId>& starts, TagId tag, bool wildcard,
            Axis axis, const QueryOptions& options, const ResultSink& sink,
            QueryStats* stats) const;
-
-  // Default path: merges lazy per-probe cursors through the priority queue.
-  void RunStreaming(const std::vector<NodeId>& starts, TagId tag,
-                    bool wildcard, Axis axis, const QueryOptions& options,
-                    const ResultSink& sink, QueryStats* stats) const;
-
-  // Legacy path: materializes each probe as one sorted block (also carries
-  // exact mode, which needs every candidate before it can sort).
-  void RunMaterialized(const std::vector<NodeId>& starts, TagId tag,
-                       bool wildcard, Axis axis, const QueryOptions& options,
-                       const ResultSink& sink, QueryStats* stats) const;
 
   // Shared core of IsConnected/FindDistance: Dijkstra over entry points,
   // upgraded to landmark-guided A* when the MetaDocumentSet carries a

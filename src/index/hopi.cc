@@ -506,43 +506,6 @@ std::unique_ptr<NodeDistCursor> HopiIndex::NewMultiSourceAmongCursor(
   return PathIndex::NewMultiSourceAmongCursor(seeds, probe_set, forward);
 }
 
-std::vector<NodeDist> HopiIndex::Collect(
-    NodeId from, TagId tag, bool wildcard,
-    const storage::FlatRows<LabelEntry>& labels,
-    const storage::FlatRows<LabelEntry>& inverted) const {
-  // Relax dist(from, v) over all of from's hubs; per-call scratch keeps the
-  // index safely shareable across query threads.
-  std::vector<Distance> best(tag_.size(), kInfinity);
-  for (const LabelEntry& hub_entry : labels[from]) {
-    // In the inverted lists, `hub` holds the labeled *node* id.
-    for (const LabelEntry& e : inverted[hub_entry.hub]) {
-      const Distance d = hub_entry.distance + e.distance;
-      if (d < best[e.hub]) best[e.hub] = d;
-    }
-  }
-  std::vector<NodeDist> result;
-  for (NodeId v = 0; v < tag_.size(); ++v) {
-    if (v == from || best[v] == kInfinity) continue;
-    if (wildcard || tag_[v] == tag) result.push_back({v, best[v]});
-  }
-  SortByDistance(result);
-  return result;
-}
-
-std::vector<NodeDist> HopiIndex::DescendantsByTag(NodeId from,
-                                                  TagId tag) const {
-  return Collect(from, tag, /*wildcard=*/false, out_labels_, inverted_in_);
-}
-
-std::vector<NodeDist> HopiIndex::Descendants(NodeId from) const {
-  return Collect(from, kInvalidTag, /*wildcard=*/true, out_labels_,
-                 inverted_in_);
-}
-
-std::vector<NodeDist> HopiIndex::AncestorsByTag(NodeId from, TagId tag) const {
-  return Collect(from, tag, /*wildcard=*/false, in_labels_, inverted_out_);
-}
-
 std::vector<NodeDist> HopiIndex::CollectAmong(
     NodeId from, const storage::FlatRows<LabelEntry>& labels,
     const storage::FlatRows<LabelEntry>& filtered_inverted) const {

@@ -81,13 +81,9 @@ class HopiIndex : public PathIndex {
       NodeId from, std::span<const NodeId> targets) const override;
   std::unique_ptr<NodeDistCursor> AncestorsAmongCursor(
       NodeId from, std::span<const NodeId> sources) const override;
-  // Bulk overrides: one dense relax over the inverted lists of `from`'s
-  // hubs, then a single sort. Since the merge heads skip unyieldable
-  // entries, a cursor pulled to exhaustion costs about the same (DESIGN.md
-  // §5.1 has the numbers); these remain for the materialized PEE loop.
-  std::vector<NodeDist> DescendantsByTag(NodeId from, TagId tag) const override;
-  std::vector<NodeDist> Descendants(NodeId from) const override;
-  std::vector<NodeDist> AncestorsByTag(NodeId from, TagId tag) const override;
+  // Bulk Among probes for point queries and bidirectional connection
+  // tests: one relax over the registered probe set's filtered inverted
+  // lists, then a single sort.
   std::vector<NodeDist> ReachableAmong(
       NodeId from, std::span<const NodeId> targets) const override;
   std::vector<NodeDist> AncestorsAmong(
@@ -161,12 +157,8 @@ class HopiIndex : public PathIndex {
       std::span<const NodeId> seeds,
       const storage::FlatRows<LabelEntry>& labels) const;
 
-  // Bulk enumeration: relax dist(from, v) over all of from's hubs into a
-  // dense scratch array, then sort once.
-  std::vector<NodeDist> Collect(
-      NodeId from, TagId tag, bool wildcard,
-      const storage::FlatRows<LabelEntry>& labels,
-      const storage::FlatRows<LabelEntry>& inverted) const;
+  // Bulk Among probe: relax dist(from, v) over all of from's hubs against
+  // the filtered inverted lists, then sort once.
   std::vector<NodeDist> CollectAmong(
       NodeId from, const storage::FlatRows<LabelEntry>& labels,
       const storage::FlatRows<LabelEntry>& filtered_inverted) const;

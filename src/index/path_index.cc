@@ -428,9 +428,9 @@ Status PathIndex::Validate(const graph::Digraph& g,
     }
   }
 
-  // Enumeration diffs: for sampled sources, the bulk vector, a full cursor
-  // drain, and the BFS oracle must agree element-for-element (set, distance
-  // and (distance, node) order). Covers the wildcard, tag-filtered and
+  // Enumeration diffs: for sampled sources, a full cursor drain and the
+  // BFS oracle must agree element-for-element (set, distance and
+  // (distance, node) order). Covers the wildcard, tag-filtered and
   // ancestor axes — the three probes the PEE issues.
   const graph::ReachabilityOracle oracle(g);
   const std::vector<NodeId> sources =
@@ -438,33 +438,19 @@ Status PathIndex::Validate(const graph::Digraph& g,
   for (const NodeId from : sources) {
     {
       const std::vector<NodeDist> want = oracle.Descendants(from);
-      const std::vector<NodeDist> bulk = Descendants(from);
-      if (bulk != want) {
-        return InternalError(who + ": " +
-                             DescribeDiff("descendants", from, bulk, want));
-      }
-      const std::vector<NodeDist> drained =
-          DrainCursor(*DescendantsCursor(from));
+      const std::vector<NodeDist> drained = Descendants(from);
       if (drained != want) {
         return InternalError(
-            who + ": " + DescribeDiff("descendants cursor", from, drained,
-                                      want));
+            who + ": " + DescribeDiff("descendants", from, drained, want));
       }
     }
     const TagId tag = g.Tag(from);
     if (tag != kInvalidTag) {
       const std::vector<NodeDist> want = oracle.DescendantsByTag(from, tag);
-      const std::vector<NodeDist> bulk = DescendantsByTag(from, tag);
-      if (bulk != want) {
-        return InternalError(
-            who + ": " + DescribeDiff("descendants-by-tag", from, bulk, want));
-      }
-      const std::vector<NodeDist> drained =
-          DrainCursor(*DescendantsByTagCursor(from, tag));
+      const std::vector<NodeDist> drained = DescendantsByTag(from, tag);
       if (drained != want) {
-        return InternalError(
-            who + ": " + DescribeDiff("descendants-by-tag cursor", from,
-                                      drained, want));
+        return InternalError(who + ": " + DescribeDiff("descendants-by-tag",
+                                                       from, drained, want));
       }
       const std::vector<NodeDist> want_up = oracle.AncestorsByTag(from, tag);
       const std::vector<NodeDist> up = AncestorsByTag(from, tag);

@@ -4,9 +4,8 @@
 // ancestor enumeration in ascending distance order.
 //
 // Enumeration is cursor-based: every strategy implements pull-based
-// NodeDistCursor factories, and the vector-returning convenience methods
-// default to draining a cursor (strategies with a cheaper bulk plan
-// override them). The PEE merges cursors directly, so top-k /
+// NodeDistCursor factories, and the vector-returning enumeration methods
+// drain a cursor. The PEE merges cursors directly, so top-k /
 // bounded-distance / cancelled queries terminate index work early instead
 // of discarding fully materialized result sets.
 //
@@ -49,7 +48,7 @@ struct ValidateOptions {
   // TC row, every source enumerated).
   bool deep = false;
   uint64_t seed = 20260806;
-  // Sources sampled for enumeration diffs (cursor vs bulk vs BFS oracle).
+  // Sources sampled for enumeration diffs (cursor drain vs BFS oracle).
   size_t sample_sources = 24;
   // (from, to) pairs sampled for distance diffs against the BFS oracle.
   size_t sample_pairs = 192;
@@ -252,15 +251,16 @@ class PathIndex {
       std::span<const NodeId> seeds, std::span<const NodeId> probe_set,
       bool forward) const;
 
-  // Vector-returning conveniences: by default thin wrappers that drain the
-  // matching cursor. Kept for persistence checks, step axes and batch
-  // callers. A strategy overrides one when it has a bulk plan that beats
-  // draining its own cursor (e.g. HOPI's dense relax over the inverted
-  // lists); overrides must return the same (distance, node)-ascending set
-  // the cursor yields.
-  virtual std::vector<NodeDist> DescendantsByTag(NodeId from, TagId tag) const;
-  virtual std::vector<NodeDist> Descendants(NodeId from) const;
-  virtual std::vector<NodeDist> AncestorsByTag(NodeId from, TagId tag) const;
+  // Vector-returning conveniences for persistence checks, migration diffs
+  // and tests: each drains the matching cursor. The Among probes, which
+  // point queries and bidirectional connection tests issue per entry
+  // point, stay virtual: a strategy overrides one when it has a bulk plan
+  // that beats draining its own cursor (e.g. HOPI's relax over the
+  // filtered inverted lists), returning the same (distance, node)-ascending
+  // set the cursor yields.
+  std::vector<NodeDist> DescendantsByTag(NodeId from, TagId tag) const;
+  std::vector<NodeDist> Descendants(NodeId from) const;
+  std::vector<NodeDist> AncestorsByTag(NodeId from, TagId tag) const;
   virtual std::vector<NodeDist> ReachableAmong(
       NodeId from, std::span<const NodeId> targets) const;
   virtual std::vector<NodeDist> AncestorsAmong(
@@ -280,7 +280,7 @@ class PathIndex {
   // Mechanically verifies the index against `g`, the graph it was built
   // from. The base implementation is a differential check: sampled
   // (from, to) distance probes and sampled enumeration diffs (cursor drain
-  // vs bulk vector vs a naive BFS oracle) — sound for any strategy.
+  // vs a naive BFS oracle) — sound for any strategy.
   // Strategies override to verify their structural invariants first (PPO
   // interval nesting, HOPI label/inverted-list consistency, extent
   // partitioning, TC row = BFS closure) and then run the base diff, so a

@@ -308,46 +308,6 @@ std::unique_ptr<NodeDistCursor> PpoIndex::ReachableAmongCursor(
   return std::make_unique<MaterializedCursor>(ReachableAmong(from, targets));
 }
 
-std::vector<NodeDist> PpoIndex::DescendantsByTag(NodeId from,
-                                                 TagId tag) const {
-  std::vector<NodeDist> result;
-  const uint32_t begin = pre_[from] + 1;
-  const uint32_t end = pre_[from] + subtree_size_[from];  // exclusive
-  for (uint32_t p = begin; p < end; ++p) {
-    const NodeId v = order_[p];
-    if (tag_[v] == tag) {
-      result.push_back({v, static_cast<Distance>(depth_[v] - depth_[from])});
-    }
-  }
-  SortByDistance(result);
-  return result;
-}
-
-std::vector<NodeDist> PpoIndex::Descendants(NodeId from) const {
-  std::vector<NodeDist> result;
-  const uint32_t begin = pre_[from] + 1;
-  const uint32_t end = pre_[from] + subtree_size_[from];  // exclusive
-  result.reserve(end - begin);
-  for (uint32_t p = begin; p < end; ++p) {
-    const NodeId v = order_[p];
-    result.push_back({v, static_cast<Distance>(depth_[v] - depth_[from])});
-  }
-  SortByDistance(result);
-  return result;
-}
-
-std::vector<NodeDist> PpoIndex::AncestorsByTag(NodeId from, TagId tag) const {
-  std::vector<NodeDist> result;
-  Distance d = 0;
-  NodeId v = parent_[from];
-  while (v != kInvalidNode) {
-    ++d;
-    if (tag_[v] == tag) result.push_back({v, d});
-    v = parent_[v];
-  }
-  return result;
-}
-
 std::vector<NodeDist> PpoIndex::ReachableAmong(
     NodeId from, std::span<const NodeId> targets) const {
   std::vector<NodeDist> result;

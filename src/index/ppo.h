@@ -50,11 +50,6 @@ class PpoIndex : public PathIndex {
   // small link-source sets).
   std::unique_ptr<NodeDistCursor> ReachableAmongCursor(
       NodeId from, std::span<const NodeId> targets) const override;
-  // Bulk overrides: one interval scan + one sort beats draining the
-  // depth-bucketed cursor when the whole subtree is wanted anyway.
-  std::vector<NodeDist> DescendantsByTag(NodeId from, TagId tag) const override;
-  std::vector<NodeDist> Descendants(NodeId from) const override;
-  std::vector<NodeDist> AncestorsByTag(NodeId from, TagId tag) const override;
   std::vector<NodeDist> ReachableAmong(
       NodeId from, std::span<const NodeId> targets) const override;
   size_t MemoryBytes() const override;

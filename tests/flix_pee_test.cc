@@ -7,6 +7,7 @@
 
 #include "flix/flix.h"
 #include "graph/traversal.h"
+#include "index/path_index.h"
 #include "workload/synthetic_generator.h"
 #include "xml/collection.h"
 
@@ -257,12 +258,85 @@ TEST(PeeTest, StreamingMatchesMaterializedResultSet) {
                                           return true;
                                         });
     EXPECT_EQ(Nodes(streamed), Nodes(materialized)) << "start " << start;
-    // The streamed merge emits globally ascending — tighter than the
-    // legacy per-block order, which is only approximately sorted.
+    // Both modes run on the same loop. The streamed merge emits globally
+    // ascending — tighter than the per-block mode, which emits each local
+    // probe as one drained block and is only approximately sorted.
     for (size_t i = 1; i < streamed.size(); ++i) {
       EXPECT_GE(streamed[i].distance, streamed[i - 1].distance);
     }
   }
+}
+
+TEST(PeeTest, ExactModeStreamsThroughCursors) {
+  const auto collection = workload::GenerateSynthetic({.seed = 9});
+  ASSERT_TRUE(collection.ok());
+  FlixOptions options;
+  options.config = MdbConfig::kNaive;  // one meta document per document
+  auto flix = Flix::Build(*collection, options);
+  ASSERT_TRUE(flix.ok()) << flix.status().ToString();
+  ASSERT_GT((*flix)->meta_documents().docs.size(), 1u);
+  const PathExpressionEvaluator& pee = (*flix)->pee();
+  const graph::Digraph g = collection->BuildGraph();
+  const graph::ReachabilityOracle oracle(g);
+
+  // A document root with a sizeable by-tag answer, so a top-1 stop leaves
+  // cursor work behind.
+  NodeId start = kInvalidNode;
+  TagId tag = kInvalidTag;
+  std::vector<graph::NodeDist> truth;
+  for (DocId doc = 0; doc < collection->NumDocuments() && truth.empty();
+       ++doc) {
+    const NodeId root = collection->GlobalId(doc, 0);
+    for (const graph::NodeDist& nd : oracle.Descendants(root)) {
+      std::vector<graph::NodeDist> by_tag =
+          oracle.DescendantsByTag(root, g.Tag(nd.node));
+      if (by_tag.size() >= 10) {
+        start = root;
+        tag = g.Tag(nd.node);
+        truth = std::move(by_tag);
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(truth.empty());
+
+  QueryOptions exact;
+  exact.exact = true;
+  exact.max_results = 1;
+  QueryStats stats;
+  std::vector<Result> first;
+  pee.FindDescendantsByTag(start, tag, exact,
+                           [&](const Result& r) {
+                             first.push_back(r);
+                             return true;
+                           },
+                           &stats);
+  ASSERT_EQ(first.size(), 1u);
+  // The answer is one of the BFS-nearest matches, at its BFS distance.
+  EXPECT_EQ(first[0].distance, truth.front().distance);
+  EXPECT_EQ(oracle.Distance(start, first[0].node), truth.front().distance);
+  EXPECT_EQ(g.Tag(first[0].node), tag);
+  // Exact mode runs on the streaming loop: it opens cursors and stops
+  // pulling them once the first result is out.
+  EXPECT_GT(stats.cursors_opened, 0u);
+  EXPECT_GT(stats.cursor_saved, 0u);
+
+  // The full exact drain: every node at its BFS distance, ascending.
+  exact.max_results = -1;
+  std::vector<Result> all;
+  pee.FindDescendantsByTag(start, tag, exact, [&](const Result& r) {
+    all.push_back(r);
+    return true;
+  });
+  std::vector<graph::NodeDist> drained;
+  for (size_t i = 0; i < all.size(); ++i) {
+    if (i > 0) {
+      EXPECT_GE(all[i].distance, all[i - 1].distance);
+    }
+    drained.push_back({all[i].node, all[i].distance});
+  }
+  index::SortByDistance(drained);
+  EXPECT_EQ(drained, truth);
 }
 
 TEST(PeeTest, TopKStopsPullingCursorsEarly) {

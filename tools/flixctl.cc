@@ -165,7 +165,7 @@ int Usage() {
       "                   rebuilds and re-saves the index)\n"
       "  flixctl query   --collection FILE --index FILE --start DOC[#ID]\n"
       "                  --tag NAME [--k N] [--max-distance D] [--exact]\n"
-      "                  [--legacy]  (materialize probes instead of streaming)\n"
+      "                  [--legacy]  (the paper's per-block emission)\n"
       "  flixctl connect --collection FILE --index FILE --from DOC[#ID]\n"
       "                  --to DOC[#ID] [--max-distance D] [--no-landmarks]\n"
       "  flixctl search  --collection FILE --text \"...\" [--k N]\n"
