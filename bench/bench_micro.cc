@@ -9,7 +9,6 @@
 #include "bench/bench_util.h"
 #include "flix/flix.h"
 #include "graph/partition.h"
-#include "index/apex.h"
 #include "index/hopi.h"
 #include "index/ppo.h"
 #include "index/summary_index.h"
@@ -93,7 +92,7 @@ void BM_ApexBuild(benchmark::State& state) {
   }
   const graph::Digraph g = DblpGraph().InducedSubgraph(nodes);
   for (auto _ : state) {
-    auto index = index::ApexIndex::Build(g);
+    auto index = index::SummaryIndex::BuildApex(g);
     benchmark::DoNotOptimize(index);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -23,10 +23,10 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "graph/digraph.h"
-#include "index/apex.h"
 #include "index/hopi.h"
 #include "index/path_index.h"
 #include "index/ppo.h"
+#include "index/summary_index.h"
 
 namespace {
 
@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
   const MeasuredCosts apex = Measure(
       dag,
       [](const graph::Digraph& g) -> std::unique_ptr<index::PathIndex> {
-        return index::ApexIndex::Build(g);
+        return index::SummaryIndex::BuildApex(g);
       },
       repeats, probes, 13);
 

@@ -9,6 +9,10 @@
 //   * PPO-naive and Maximal PPO are even smaller (Maximal PPO as compact as
 //     plain PPO).
 //
+// Each setup's total_index_bytes is also a gauge in the metrics envelope
+// (bench.table1.index_bytes.<label>), so bench_compare fails a run whose
+// index grew against the committed baseline.
+//
 //   $ ./bench_table1_index_sizes [--pubs 6210]
 #include "bench/bench_util.h"
 
@@ -35,6 +39,9 @@ int main(int argc, char** argv) {
     const auto flix = bench::MustBuild(collection, setup.options);
     const core::FlixStats& stats = flix->stats();
     sizes[setup.label] = stats.total_index_bytes;
+    obs::MetricsRegistry::Global()
+        .GetGauge("bench.table1.index_bytes." + setup.label)
+        .Set(static_cast<int64_t>(stats.total_index_bytes));
     char strategies[64];
     std::snprintf(strategies, sizeof(strategies), "%zu/%zu/%zu",
                   stats.num_ppo, stats.num_hopi, stats.num_apex);
@@ -68,6 +75,7 @@ int main(int argc, char** argv) {
                sizes["MaximalPPO"] < sizes["HOPI-5000"]);
   bench::Check("MaximalPPO about as compact as PPO-naive",
                sizes["MaximalPPO"] < 2 * sizes["PPO-naive"]);
-  bench::EmitMetricsBlock("table1_index_sizes");
+  bench::EmitMetricsBlock("table1_index_sizes",
+                          {bench::Config("pubs", pubs)});
   return bench::ExitCode();
 }

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "index/apex.h"
 #include "index/hopi.h"
 #include "index/ppo.h"
 #include "index/summary_index.h"
@@ -60,10 +59,11 @@ struct CorruptionHook {
     return true;
   }
 
-  // APEX: files `v` under a foreign extent without updating block_of_[v] —
-  // the extent partition stops being exact. Returns false when the index
-  // has a single block (no foreign extent to misfile into).
-  static bool MisfileApexExtent(ApexIndex& index, NodeId v) {
+  // Summary (any preset, APEX included): files `v` under a foreign extent
+  // without updating block_of_[v] — the extent partition stops being exact.
+  // Returns false when the index has a single block (no foreign extent to
+  // misfile into).
+  static bool MisfileExtent(SummaryIndex& index, NodeId v) {
     if (index.extents_.size() < 2) return false;
     const uint32_t home_block = index.block_of_[v];
     const uint32_t to_block =

@@ -9,9 +9,9 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "graph/tree_utils.h"
-#include "index/apex.h"
 #include "index/hopi.h"
 #include "index/ppo.h"
+#include "index/summary_index.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
 
@@ -310,7 +310,7 @@ Status StrategyMigrator::Migrate(const Recommendation& rec) {
       next = index::HopiIndex::Build(doc.graph);
       break;
     case StrategyKind::kApex:
-      next = index::ApexIndex::Build(doc.graph);
+      next = index::SummaryIndex::BuildApex(doc.graph);
       break;
     default:
       return InvalidArgumentError("strategy not eligible for migration");

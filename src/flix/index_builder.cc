@@ -2,9 +2,9 @@
 
 #include "common/stopwatch.h"
 #include "flix/iss.h"
-#include "index/apex.h"
 #include "index/hopi.h"
 #include "index/ppo.h"
+#include "index/summary_index.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "obs/trace.h"
@@ -78,7 +78,7 @@ StatusOr<std::vector<MetaIndexStats>> BuildIndexes(
         meta.index = index::HopiIndex::Build(meta.graph);
         break;
       case index::StrategyKind::kApex:
-        meta.index = index::ApexIndex::Build(meta.graph);
+        meta.index = index::SummaryIndex::BuildApex(meta.graph);
         break;
       case index::StrategyKind::kTransitiveClosure:
       case index::StrategyKind::kSummary:

@@ -198,21 +198,24 @@ struct QueryScratch {
     batch.clear();
     seeds.clear();
     point_items.clear();
-    start_set.clear();
     slots.clear();
     // Keep the per-partition map nodes; a reset entry admits afresh. The
     // reset drops each cover's pin along with the cursor slots above.
     for (auto& [partition, admitted] : entries) admitted.Reset();
-    emitted.clear();
-    processed.clear();
+    // libstdc++ clear() zeroes the whole bucket array even when the set is
+    // empty, so a set one large query grew would tax every later query.
+    for (auto* set : {&start_set, &emitted, &processed}) {
+      if (!set->empty()) set->clear();
+    }
   }
 };
 
 // Hands out the thread-local scratch, falling back to a heap-allocated one
 // for re-entrant queries (a sink callback may legally issue another query
-// on the same PEE — it must not clobber the outer query's state). Clearing
-// on release also drops cursor slots promptly, so index snapshot pins never
-// outlive the query that took them.
+// on the same PEE — it must not clobber the outer query's state). The
+// scratch is cleared once per lease, on release: the heap fallback starts
+// fresh, and clearing on release drops cursor slots promptly, so index
+// snapshot pins never outlive the query that took them.
 //
 // Locking discipline (DESIGN.md section 8): deliberately capability-free.
 // The scratch is thread-confined by construction — a lease only ever hands
@@ -231,7 +234,6 @@ class ScratchLease {
       heap_ = std::make_unique<QueryScratch>();
       scratch_ = heap_.get();
     }
-    scratch_->Clear();
   }
   ~ScratchLease() {
     if (owns_tls_) {

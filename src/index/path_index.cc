@@ -7,7 +7,6 @@
 
 #include "common/dcheck.h"
 #include "common/rng.h"
-#include "index/apex.h"
 #include "index/hopi.h"
 #include "index/ppo.h"
 #include "index/summary_index.h"
@@ -292,13 +291,11 @@ void SaveIndexSegment(const PathIndex& index, storage::SegmentWriter& seg) {
       static_cast<const HopiIndex&>(index).SaveSegment(seg);
       break;
     case StrategyKind::kApex:
-      static_cast<const ApexIndex&>(index).SaveSegment(seg);
+    case StrategyKind::kSummary:
+      static_cast<const SummaryIndex&>(index).SaveSegment(seg);
       break;
     case StrategyKind::kTransitiveClosure:
       static_cast<const TransitiveClosureIndex&>(index).SaveSegment(seg);
-      break;
-    case StrategyKind::kSummary:
-      static_cast<const SummaryIndex&>(index).SaveSegment(seg);
       break;
   }
 }
@@ -317,18 +314,14 @@ StatusOr<std::unique_ptr<PathIndex>> LoadIndexSegment(
       if (!loaded.ok()) return loaded.status();
       return StatusOr<std::unique_ptr<PathIndex>>(std::move(loaded).value());
     }
-    case StrategyKind::kApex: {
-      auto loaded = ApexIndex::LoadSegment(view, graph);
+    case StrategyKind::kApex:
+    case StrategyKind::kSummary: {
+      auto loaded = SummaryIndex::LoadSegment(view, graph, kind);
       if (!loaded.ok()) return loaded.status();
       return StatusOr<std::unique_ptr<PathIndex>>(std::move(loaded).value());
     }
     case StrategyKind::kTransitiveClosure: {
       auto loaded = TransitiveClosureIndex::LoadSegment(view);
-      if (!loaded.ok()) return loaded.status();
-      return StatusOr<std::unique_ptr<PathIndex>>(std::move(loaded).value());
-    }
-    case StrategyKind::kSummary: {
-      auto loaded = SummaryIndex::LoadSegment(view, graph);
       if (!loaded.ok()) return loaded.status();
       return StatusOr<std::unique_ptr<PathIndex>>(std::move(loaded).value());
     }

@@ -1,22 +1,24 @@
-// Generalized structure-summary index covering the Index Definition Scheme
-// family the paper lists among the candidate path indexing strategies
-// (Section 2.2: "1-Index, A(k) Index, D(k) Index, F&B Index"):
+// Structure-summary index: APEX and the Index Definition Scheme family the
+// paper lists among the candidate path indexing strategies (Section 2.2:
+// "1-Index, A(k) Index, D(k) Index, F&B Index"). Elements are grouped into
+// blocks by bisimulation over their label paths; each block stores its
+// extent, and the quotient graph over the blocks is the summary. Presets:
 //
-//   * 1-Index / A(k): backward bisimulation, optionally depth-bounded —
-//     that variant lives in ApexIndex (this class generalizes the same
-//     refinement machinery).
-//   * F&B Index: the fixpoint of alternating backward *and* forward
-//     bisimulation. The summary is stable under both edge directions, so
-//     both descendant and ancestor traversals can be pruned by it.
-//   * D(k) Index: *locally* adaptive refinement depth — nodes whose tags
-//     the query workload exercises with long incoming paths get refined
-//     deeper than untouched ones (Qun et al., SIGMOD'03). We derive the
-//     per-tag depth requirement from a workload of label paths: a tag that
-//     appears at position i of some workload path needs i-bisimilarity.
+//   * APEX [Chung et al., SIGMOD'02] (BuildApex, kind kApex): the 1-index,
+//     backward bisimulation to the fixpoint, unoptimized for frequent
+//     queries as in the paper's experiments. Stores forward tag sets and,
+//     below kMaxBlocksForClosure blocks, the block-level closure.
+//   * A(k) (Build, SummaryOptions::max_rounds = k): depth-bounded backward
+//     refinement; F&B (BuildFb): backward *and* forward bisimulation;
+//     D(k) (BuildDk, Qun et al., SIGMOD'03): per-tag refinement depth
+//     derived from a workload. These kSummary presets store forward and
+//     backward tag sets and no closure.
 //
-// Query evaluation mirrors ApexIndex: summary-pruned BFS over the element
-// graph with exact distances; the F&B variant additionally prunes ancestor
-// traversals with the backward (reachable-from) tag sets.
+// Connection queries from a *specific* element (a//b with distances) walk
+// the element graph, like the paper's database-backed APEX, pruned by the
+// summary: a branch is cut once its block provably cannot reach
+// (descendants) or be reached from (ancestors) the target tag. A pruning
+// table the preset does not store means "cannot prune".
 #ifndef FLIX_INDEX_SUMMARY_INDEX_H_
 #define FLIX_INDEX_SUMMARY_INDEX_H_
 
@@ -33,7 +35,8 @@ namespace flix::index {
 struct SummaryOptions {
   // Include forward bisimulation in the fixpoint (F&B when true).
   bool forward_refinement = false;
-  // Global refinement bound; < 0 = refine to the fixpoint.
+  // Global refinement bound; < 0 = refine to the fixpoint, k >= 0 gives the
+  // A(k)-index.
   int max_rounds = -1;
   // Per-tag refinement depth (D(k)): node v stops splitting after
   // depth_of_tag[tag(v)] rounds. Empty = no per-node bound. Tags beyond the
@@ -46,6 +49,8 @@ class SummaryIndex : public PathIndex {
   // Keeps a reference to `g`; the graph must outlive the index.
   static std::unique_ptr<SummaryIndex> Build(const graph::Digraph& g,
                                              const SummaryOptions& options = {});
+  // APEX preset (kind kApex); see the file comment.
+  static std::unique_ptr<SummaryIndex> BuildApex(const graph::Digraph& g);
 
   // F&B Index: forward+backward bisimulation fixpoint.
   static std::unique_ptr<SummaryIndex> BuildFb(const graph::Digraph& g);
@@ -56,37 +61,44 @@ class SummaryIndex : public PathIndex {
       const graph::Digraph& g,
       const std::vector<std::vector<TagId>>& workload_paths);
 
-  StrategyKind kind() const override { return StrategyKind::kSummary; }
+  StrategyKind kind() const override { return kind_; }
 
   bool IsReachable(NodeId from, NodeId to) const override;
   Distance DistanceBetween(NodeId from, NodeId to) const override;
-  // Lazy summary-pruned BFS cursors (one frontier level per pull); the
-  // ancestors cursor prunes with the backward (reached-from) tag sets.
+  // Lazy summary-pruned BFS cursors (one frontier level per pull): levels
+  // beyond the last one pulled are never traversed.
   std::unique_ptr<NodeDistCursor> DescendantsByTagCursor(
       NodeId from, TagId tag) const override;
   std::unique_ptr<NodeDistCursor> DescendantsCursor(NodeId from) const override;
   std::unique_ptr<NodeDistCursor> AncestorsByTagCursor(
       NodeId from, TagId tag) const override;
+  // One lazy BFS watching all listed targets — far cheaper than the default
+  // per-target point query (which would BFS once per target).
   std::unique_ptr<NodeDistCursor> ReachableAmongCursor(
       NodeId from, std::span<const NodeId> targets) const override;
   std::unique_ptr<NodeDistCursor> AncestorsAmongCursor(
       NodeId from, std::span<const NodeId> sources) const override;
   size_t MemoryBytes() const override;
 
-  // Structural invariants mirroring ApexIndex::Validate: exact extent
-  // partition, tag-homogeneous blocks, summary = exact quotient graph, and
-  // both pruning tables (forward_tags_, backward_tags_) equal to the
-  // recomputed summary reachability. Then the base differential check.
+  // Structural invariants: extents partition the node set exactly (each
+  // node in precisely the extent its block id names), blocks are
+  // tag-homogeneous, the summary is the exact quotient graph of the
+  // partition, and every stored pruning table equals the recomputed summary
+  // reachability — so pruning can never cut a real result. Then the base
+  // differential check.
   Status Validate(const graph::Digraph& g,
                   const ValidateOptions& options = {}) const override;
 
   // Persistence: flat arrays in a segment, loaded as a zero-copy view.
   // LoadSegment rebinds to `g`, which must be the same graph the saved index
-  // was built from.
+  // was built from, and range-checks every stored id against it. `kind`
+  // (kApex or kSummary) names the preset the segment was saved from.
   void SaveSegment(storage::SegmentWriter& seg) const;
   static StatusOr<std::unique_ptr<SummaryIndex>> LoadSegment(
-      const storage::SegmentView& view, const graph::Digraph& g);
+      const storage::SegmentView& view, const graph::Digraph& g,
+      StrategyKind kind);
 
+  // Summary introspection (tests, stats).
   size_t NumBlocks() const { return extents_.size(); }
   uint32_t BlockOf(NodeId v) const { return block_of_[v]; }
   std::span<const NodeId> Extent(uint32_t block) const {
@@ -105,16 +117,28 @@ class SummaryIndex : public PathIndex {
  private:
   friend struct CorruptionHook;
 
-  explicit SummaryIndex(const graph::Digraph& g) : g_(g) {}
+  // The APEX preset stores the block-level closure only up to this many
+  // blocks (tag-reachability pruning still applies above it).
+  static constexpr size_t kMaxBlocksForClosure = 50000;
+
+  SummaryIndex(const graph::Digraph& g, StrategyKind kind)
+      : g_(g), kind_(kind) {}
+  static std::unique_ptr<SummaryIndex> Make(const graph::Digraph& g,
+                                            StrategyKind kind,
+                                            const SummaryOptions& options);
+
+  // Only the kSummary presets store the backward tag sets.
+  bool HasBackwardTags() const { return kind_ == StrategyKind::kSummary; }
 
   void BuildSummary(const SummaryOptions& options);
   void BuildPruning();
 
   bool CanReachTag(uint32_t block, TagId tag) const;
   bool ReachedFromTag(uint32_t block, TagId tag) const;
+  bool BlockCanReachBlock(uint32_t from, uint32_t to) const;
 
-  // Point lookup: forward BFS pruned by the target's tag reachability,
-  // stopping at `stop_at`.
+  // Point lookup: forward BFS stopping at `stop_at`, pruned by the block
+  // closure when stored, else by `stop_at`'s tag.
   Distance PointSearch(NodeId from, NodeId stop_at) const;
 
   // Pruned BFS cursors from every source at once: the multi-source and
@@ -128,14 +152,20 @@ class SummaryIndex : public PathIndex {
       bool forward) const;
 
   const graph::Digraph& g_;
+  const StrategyKind kind_;
   storage::FlatVec<uint32_t> block_of_;
   storage::FlatRows<NodeId> extents_;
+  // Quotient graph over blocks.
   graph::Digraph summary_;
-  // Forward pruning: tags reachable from each block; backward pruning: tags
-  // occurring on paths into each block.
+  // Per block, bitsets over tag ids (words of 64 tags, including the
+  // block's own tag): forward = tags reachable from the block, backward =
+  // tags occurring on paths into it.
   storage::FlatRows<uint64_t> forward_tags_;
   storage::FlatRows<uint64_t> backward_tags_;
   size_t tag_words_ = 0;
+  // Optional block-level reachability closure (bitset rows over blocks).
+  bool have_block_closure_ = false;
+  storage::FlatRows<uint64_t> block_closure_;
 };
 
 }  // namespace flix::index

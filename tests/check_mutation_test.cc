@@ -20,13 +20,12 @@
 #include "check/validator.h"
 #include "common/rng.h"
 #include "flix/flix.h"
-#include "storage/format.h"
-#include "index/apex.h"
 #include "index/hopi.h"
 #include "index/ppo.h"
 #include "index/summary_index.h"
 #include "index/transitive_closure.h"
 #include "obs/metrics.h"
+#include "storage/format.h"
 #include "workload/synthetic_generator.h"
 
 namespace flix::index {
@@ -139,10 +138,10 @@ TEST(MutationTest, TruncatedTcRowIsDetected) {
 // block breaks the exact-partition invariant.
 TEST(MutationTest, MisfiledApexExtentIsDetected) {
   const graph::Digraph g = RandomDigraph(40, 60, 83);
-  const auto apex = ApexIndex::Build(g);
+  const auto apex = SummaryIndex::BuildApex(g);
   ASSERT_TRUE(apex->Validate(g).ok());
 
-  ASSERT_TRUE(CorruptionHook::MisfileApexExtent(*apex, 0));
+  ASSERT_TRUE(CorruptionHook::MisfileExtent(*apex, 0));
   const Status status = apex->Validate(g);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(std::string(status.message()).find("apex:"), std::string::npos)

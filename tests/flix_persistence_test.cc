@@ -16,10 +16,10 @@
 #include "common/rng.h"
 #include "flix/adapt.h"
 #include "flix/flix.h"
-#include "index/apex.h"
 #include "index/hopi.h"
 #include "index/path_index.h"
 #include "index/ppo.h"
+#include "index/summary_index.h"
 #include "index/transitive_closure.h"
 #include "storage/segment.h"
 #include "workload/synthetic_generator.h"
@@ -143,7 +143,7 @@ TEST(PersistenceTest, HopiRoundTrip) {
 
 TEST(PersistenceTest, ApexRoundTrip) {
   const graph::Digraph g = RandomGraph(50, 110, 13);
-  const auto built = index::ApexIndex::Build(g);
+  const auto built = index::SummaryIndex::BuildApex(g);
   CheckIndexRoundTrip(*built, g);
 }
 
@@ -173,6 +173,62 @@ TEST(PersistenceTest, LoadIndexRejectsGarbage) {
     EXPECT_FALSE(index::LoadIndexSegment(*view, kind, g).ok())
         << index::StrategyName(kind);
   }
+}
+
+// Writes a kApex segment by hand, array by array in the saved layout, over
+// the two-block summary of the graph a(0) -> b(1).
+std::vector<std::byte> HandBuiltApexSegment(
+    const std::vector<uint32_t>& block_of,
+    const std::vector<NodeId>& extent_flat) {
+  graph::Digraph quotient(2);
+  quotient.AddEdge(0, 1);
+  storage::SegmentWriter seg;
+  seg.Add(1, block_of);                           // block of each node
+  seg.Add(2, std::vector<uint64_t>{0, 1, 2});     // extent offsets
+  seg.Add(3, extent_flat);                        // extent members
+  seg.Add(4, std::vector<uint64_t>{0, 1, 2});     // forward-tag offsets
+  seg.Add(5, std::vector<uint64_t>{0b11, 0b10});  // forward-tag rows
+  seg.Add(8, std::vector<uint64_t>{1, 0});        // tag_words, no closure
+  quotient.AppendArrays(seg, 10);
+  return seg.Finish();
+}
+
+TEST(PersistenceTest, LoadApexSegmentRangeChecksIds) {
+  graph::Digraph g;
+  g.AddNode(0);
+  g.AddNode(1);
+  g.AddEdge(0, 1);
+  // The loaded index views `payload`, which the caller keeps alive.
+  const auto load = [&](const std::vector<std::byte>& payload)
+      -> StatusOr<std::unique_ptr<index::PathIndex>> {
+    const auto view = storage::SegmentView::Parse(payload);
+    if (!view.ok()) return view.status();
+    return index::LoadIndexSegment(*view, index::StrategyKind::kApex, g);
+  };
+
+  // The well-formed segment loads and answers.
+  const std::vector<std::byte> good = HandBuiltApexSegment({0, 1}, {0, 1});
+  const auto loaded = load(good);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->kind(), index::StrategyKind::kApex);
+  EXPECT_EQ((*loaded)->DistanceBetween(0, 1), 1);
+
+  // Node 1 filed under block 7 of 2.
+  const std::vector<std::byte> bad_block = HandBuiltApexSegment({0, 7}, {0, 1});
+  const auto rejected_block = load(bad_block);
+  ASSERT_FALSE(rejected_block.ok());
+  EXPECT_NE(rejected_block.status().ToString().find("maps to block 7"),
+            std::string::npos)
+      << rejected_block.status().ToString();
+
+  // An extent listing node 9 of a 2-node graph.
+  const std::vector<std::byte> bad_member =
+      HandBuiltApexSegment({0, 1}, {0, 9});
+  const auto rejected_member = load(bad_member);
+  ASSERT_FALSE(rejected_member.ok());
+  EXPECT_NE(rejected_member.status().ToString().find("lists node 9"),
+            std::string::npos)
+      << rejected_member.status().ToString();
 }
 
 std::string PagedTempPath(const std::string& name) {

@@ -9,7 +9,6 @@
 #include "common/rng.h"
 #include "graph/traversal.h"
 #include "graph/tree_utils.h"
-#include "index/apex.h"
 #include "index/hopi.h"
 #include "index/path_index.h"
 #include "index/ppo.h"
@@ -104,7 +103,7 @@ std::unique_ptr<PathIndex> BuildIndex(StrategyKind kind,
     case StrategyKind::kHopi:
       return HopiIndex::Build(g);
     case StrategyKind::kApex:
-      return ApexIndex::Build(g);
+      return SummaryIndex::BuildApex(g);
     case StrategyKind::kTransitiveClosure: {
       auto built = TransitiveClosureIndex::Build(g);
       return built.ok() ? std::move(built).value() : nullptr;
