@@ -29,6 +29,16 @@ class Stopwatch {
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
   double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
 
+  // Nanoseconds from `earlier`'s start to this stopwatch's start; 0 if
+  // `earlier` started later. Reads no clock.
+  uint64_t StartedNanosAfter(const Stopwatch& earlier) const {
+    if (start_ < earlier.start_) return 0;
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(start_ -
+                                                             earlier.start_)
+            .count());
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

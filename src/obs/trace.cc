@@ -81,10 +81,10 @@ void TraceCollector::Disable() {
   enabled_.store(false, std::memory_order_release);
 }
 
-uint64_t TraceCollector::NowNanos() const {
+uint64_t TraceCollector::StartNanos(const Stopwatch& watch) const {
   if (!Enabled()) return 0;
   MutexLock lock(mutex_);
-  return epoch_.ElapsedNanos();
+  return watch.StartedNanosAfter(epoch_);
 }
 
 void TraceCollector::Record(TraceEvent event) {
@@ -210,7 +210,11 @@ TraceSpan::TraceSpan(Histogram* histogram, const char* name)
     id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
     parent_id_ = t_span_stack.empty() ? 0 : t_span_stack.back();
     t_span_stack.push_back(id_);
-    start_ns_ = collector.NowNanos();
+    // The span starts when watch_ did, so start_ns + dur_ns (dur from
+    // watch_ in Finish) is the moment Finish read the clock: one clock for
+    // both ends, and a child's interval nests in its parent's by
+    // construction.
+    start_ns_ = collector.StartNanos(watch_);
   }
 }
 

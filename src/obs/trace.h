@@ -55,7 +55,7 @@ class TraceCollector {
  public:
   static TraceCollector& Global();
 
-  // Starts collecting, resets the epoch NowNanos() is measured from, and
+  // Starts collecting, resets the epoch span starts are measured from, and
   // clears previously collected events. `capacity` bounds the ring.
   void Enable(size_t capacity = 4096) EXCLUDES(mutex_);
   void Disable();
@@ -63,8 +63,9 @@ class TraceCollector {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  // Nanoseconds since Enable(); 0 when disabled.
-  uint64_t NowNanos() const EXCLUDES(mutex_);
+  // Nanoseconds from Enable() to `watch`'s start; 0 when disabled or when
+  // `watch` started earlier.
+  uint64_t StartNanos(const Stopwatch& watch) const EXCLUDES(mutex_);
 
   void Record(TraceEvent event) EXCLUDES(mutex_);
 

@@ -14,22 +14,24 @@
 // Everything is little-endian, explicitly sized and explicitly aligned; the
 // superblock carries an endianness marker so a big-endian reader fails fast
 // instead of misinterpreting the data. Structures here are frozen by
-// kPagedVersion: layout changes bump the version, and readers reject
-// versions they do not understand (forward compat), while old files keep
-// loading under new code until the version is retired (backward compat —
-// see DESIGN.md "Paged storage format").
+// kPagedVersion: layout or checksum changes bump the version, and readers
+// reject every version but their own with a message that says to rebuild
+// (an index is derived data; see DESIGN.md "Paged storage format").
 #ifndef FLIX_STORAGE_FORMAT_H_
 #define FLIX_STORAGE_FORMAT_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 
 namespace flix::storage {
 
 // "FLIXPG01" in file byte order.
 inline constexpr uint64_t kPagedMagic = 0x3130475058494C46ull;
-inline constexpr uint32_t kPagedVersion = 1;
+// Version 2 introduced Checksum64; version 1 (FNV-1a) is retired.
+inline constexpr uint32_t kPagedVersion = 2;
 // Written as 0x01020304; a byte-swapped reader sees 0x04030201.
 inline constexpr uint32_t kEndianMarker = 0x01020304;
 inline constexpr uint32_t kPageBytes = 4096;
@@ -38,20 +40,90 @@ inline constexpr uint32_t kPageBytes = 4096;
 // aligned in memory too.
 inline constexpr uint32_t kArrayAlign = 64;
 
-// FNV-1a 64-bit. Chosen over CRC for simplicity: corruption detection, not
-// adversarial integrity (the mutation tests flip bytes, not forge hashes).
-inline constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-inline constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+// Checksum64: the one checksum of the format (superblock, segment table,
+// every segment payload, the landmark segment). It guards against
+// corruption, not forgery: the mutation tests flip bytes, nobody forges
+// hashes. The shape is xxHash64's: 8-byte little-endian words feed four
+// independent lanes, so four multiply chains run in parallel. FNV-1a, the
+// version-1 checksum, does one dependent multiply per byte (~0.5 GB/s
+// against ~7 GB/s for this on one core of a 4-vCPU x86-64 container, -O2)
+// and was most of a paged open. Plain portable C++: no intrinsics and no
+// CPU dispatch, so there is one code path.
+//
+// Guarantee: two inputs of the same length that differ only inside one
+// aligned 8-byte word (in particular, by any single-byte flip) have
+// different checksums. Every step below is a bijection of the state for a
+// fixed input word and of the word for a fixed state, and each word enters
+// exactly one step, so a changed word changes the state and no later step
+// can merge it back:
+//   - lane step  acc' = rotl(acc + w * kP2, 31) * kP1   (kP1, kP2 odd);
+//   - fold       h = rotl(l0,1) + rotl(l1,7) + rotl(l2,12) + rotl(l3,18)
+//     + length (each lane enters once);
+//   - each leftover whole word, then the 1-7 byte tail read byte-wise into
+//     one zero-padded word: h' = rotl(h ^ Round(0, w), 27) * kP1 + kP4;
+//   - a final avalanche of xor-shifts and odd multiplies.
+// The length enters the fold, so inputs of different lengths differ too
+// (with overwhelming probability; tests/storage_test.cc checks appending
+// a zero byte). Changing any constant or step changes the file bytes and
+// needs a kPagedVersion bump.
+namespace checksum_internal {
 
-inline uint64_t Fnv1a64(const void* data, size_t len,
-                        uint64_t seed = kFnvOffset) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  uint64_t hash = seed;
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
+inline constexpr uint64_t kP1 = 0x9E3779B185EBCA87ull;
+inline constexpr uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+inline constexpr uint64_t kP3 = 0x165667B19E3779F9ull;
+inline constexpr uint64_t kP4 = 0x85EBCA77C2B2AE63ull;
+inline constexpr uint64_t kP5 = 0x27D4EB2F165667C5ull;
+
+inline uint64_t LoadWord(const unsigned char* p) {
+  uint64_t word;
+  std::memcpy(&word, p, sizeof(word));  // little-endian, see kEndianMarker
+  return word;
+}
+
+inline uint64_t Round(uint64_t acc, uint64_t word) {
+  return std::rotl(acc + word * kP2, 31) * kP1;
+}
+
+inline uint64_t Merge(uint64_t h, uint64_t word) {
+  return std::rotl(h ^ Round(0, word), 27) * kP1 + kP4;
+}
+
+}  // namespace checksum_internal
+
+inline uint64_t Checksum64(const void* data, size_t len) {
+  using namespace checksum_internal;
+  const auto* p = static_cast<const unsigned char*>(data);
+  const unsigned char* const end = p + len;
+  uint64_t h = kP5;
+  if (len >= 32) {
+    uint64_t l0 = kP1 + kP2;
+    uint64_t l1 = kP2;
+    uint64_t l2 = 0;
+    uint64_t l3 = 0 - kP1;
+    for (; end - p >= 32; p += 32) {
+      l0 = Round(l0, LoadWord(p));
+      l1 = Round(l1, LoadWord(p + 8));
+      l2 = Round(l2, LoadWord(p + 16));
+      l3 = Round(l3, LoadWord(p + 24));
+    }
+    h = std::rotl(l0, 1) + std::rotl(l1, 7) + std::rotl(l2, 12) +
+        std::rotl(l3, 18);
   }
-  return hash;
+  h += static_cast<uint64_t>(len);
+  for (; end - p >= 8; p += 8) h = Merge(h, LoadWord(p));
+  if (p != end) {
+    uint64_t tail = 0;
+    for (int shift = 0; p != end; ++p, shift += 8) {
+      tail |= static_cast<uint64_t>(*p) << shift;
+    }
+    h = Merge(h, tail);
+  }
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
+  return h;
 }
 
 // What one segment stores.
@@ -78,7 +150,7 @@ struct SegmentEntry {
   uint32_t reserved = 0;
   uint64_t offset = 0;  // absolute file offset, page-aligned
   uint64_t length = 0;  // payload bytes (before page padding)
-  uint64_t checksum = 0;  // Fnv1a64 over the payload bytes
+  uint64_t checksum = 0;  // Checksum64 over the payload bytes
 };
 static_assert(sizeof(SegmentEntry) == 40);
 static_assert(std::is_trivially_copyable_v<SegmentEntry>);

@@ -51,7 +51,7 @@ Status PagedFileWriter::AddSegment(SegmentKind kind, uint32_t partition,
   entry.strategy = strategy;
   entry.offset = cursor_;
   entry.length = payload.size();
-  entry.checksum = Fnv1a64(payload.data(), payload.size());
+  entry.checksum = Checksum64(payload.data(), payload.size());
   entries_.push_back(entry);
 
   out_.write(reinterpret_cast<const char*>(payload.data()),
@@ -73,7 +73,7 @@ Status PagedFileWriter::Finish() {
   superblock_.segment_table_offset = cursor_;
   superblock_.segment_count = entries_.size();
   superblock_.segment_table_checksum =
-      Fnv1a64(entries_.data(), entries_.size() * sizeof(SegmentEntry));
+      Checksum64(entries_.data(), entries_.size() * sizeof(SegmentEntry));
   superblock_.file_bytes =
       cursor_ + entries_.size() * sizeof(SegmentEntry);
 
@@ -83,7 +83,7 @@ Status PagedFileWriter::Finish() {
   if (!out_.good()) return InternalError("paged writer: table write failed");
 
   superblock_.checksum =
-      Fnv1a64(&superblock_, offsetof(Superblock, checksum));
+      Checksum64(&superblock_, offsetof(Superblock, checksum));
   out_.seekp(0);
   out_.write(reinterpret_cast<const char*>(&superblock_), sizeof(superblock_));
   out_.flush();
@@ -120,15 +120,19 @@ StatusOr<PagedFileReader> PagedFileReader::Open(const std::string& path,
     return InvalidArgumentError("paged index: endianness mismatch");
   }
   if (sb.version != kPagedVersion) {
-    return InvalidArgumentError("paged index: unsupported version " +
-                                std::to_string(sb.version));
+    // Checked before the superblock checksum: a retired version's
+    // checksums use a retired function, so they cannot be verified here.
+    return InvalidArgumentError(
+        "paged index: unsupported version " + std::to_string(sb.version) +
+        " (this build reads version " + std::to_string(kPagedVersion) +
+        "); rebuild with `flixctl build`");
   }
   if (sb.page_bytes != kPageBytes ||
       sb.superblock_bytes != sizeof(Superblock)) {
     return InvalidArgumentError("paged index: layout mismatch");
   }
   const uint64_t expect =
-      Fnv1a64(&reader.superblock_, offsetof(Superblock, checksum));
+      Checksum64(&reader.superblock_, offsetof(Superblock, checksum));
   if (sb.checksum != expect) {
     return InvalidArgumentError("paged index: superblock checksum mismatch");
   }
@@ -148,7 +152,7 @@ StatusOr<PagedFileReader> PagedFileReader::Open(const std::string& path,
     std::memcpy(reader.entries_.data(),
                 bytes.data() + sb.segment_table_offset, table_bytes);
   }
-  if (Fnv1a64(reader.entries_.data(), table_bytes) !=
+  if (Checksum64(reader.entries_.data(), table_bytes) !=
       sb.segment_table_checksum) {
     return InvalidArgumentError("paged index: segment table checksum mismatch");
   }
@@ -190,7 +194,7 @@ std::span<const std::byte> PagedFileReader::Payload(
 
 Status PagedFileReader::VerifySegment(const SegmentEntry& entry) const {
   const std::span<const std::byte> payload = Payload(entry);
-  if (Fnv1a64(payload.data(), payload.size()) != entry.checksum) {
+  if (Checksum64(payload.data(), payload.size()) != entry.checksum) {
     return InvalidArgumentError(
         "paged index: segment checksum mismatch (kind=" +
         std::to_string(entry.kind) + " partition=" +

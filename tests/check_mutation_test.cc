@@ -392,10 +392,11 @@ size_t LandmarkEntryOffset(const std::vector<char>& bytes) {
 void ResealChecksums(std::vector<char>& bytes) {
   storage::Superblock sb;
   std::memcpy(&sb, bytes.data(), sizeof(sb));
-  sb.segment_table_checksum = storage::Fnv1a64(
+  sb.segment_table_checksum = storage::Checksum64(
       bytes.data() + sb.segment_table_offset,
       sb.segment_count * sizeof(storage::SegmentEntry));
-  sb.checksum = storage::Fnv1a64(&sb, offsetof(storage::Superblock, checksum));
+  sb.checksum =
+      storage::Checksum64(&sb, offsetof(storage::Superblock, checksum));
   std::memcpy(bytes.data(), &sb, sizeof(sb));
 }
 
@@ -438,7 +439,8 @@ TEST_F(OnDiskCorruptionTest, TruncatedLandmarkTableFallsBackToBlind) {
   storage::SegmentEntry entry;
   std::memcpy(&entry, bytes.data() + entry_offset, sizeof(entry));
   entry.length /= 2;
-  entry.checksum = storage::Fnv1a64(bytes.data() + entry.offset, entry.length);
+  entry.checksum =
+      storage::Checksum64(bytes.data() + entry.offset, entry.length);
   std::memcpy(bytes.data() + entry_offset, &entry, sizeof(entry));
   ResealChecksums(bytes);
   WriteFile(bytes);

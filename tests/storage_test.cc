@@ -4,8 +4,10 @@
 // every reader must survive with a clean Status — never a crash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <span>
@@ -34,6 +36,89 @@ std::vector<char> ReadAll(const std::string& path) {
 void WriteAll(const std::string& path, const std::vector<char>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// ---------------------------------------------------------------------------
+// Checksum64
+
+// Deterministic non-trivial bytes (no zero runs that could hide a lane).
+std::vector<unsigned char> PatternBytes(size_t len) {
+  std::vector<unsigned char> bytes(len);
+  uint64_t state = 0x243F6A8885A308D3ull;
+  for (size_t i = 0; i < len; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    bytes[i] = static_cast<unsigned char>(state >> 56);
+  }
+  return bytes;
+}
+
+// Every single-bit flip changes the checksum, for every length through
+// three full 32-byte stripes (lanes, leftover words and the 1-7 byte tail
+// in every combination) and a page-sized buffer.
+TEST(ChecksumTest, EverySingleBitFlipChangesTheChecksum) {
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 96; ++len) lengths.push_back(len);
+  lengths.push_back(4096);
+  for (const size_t len : lengths) {
+    std::vector<unsigned char> bytes = PatternBytes(len);
+    const uint64_t base = Checksum64(bytes.data(), len);
+    for (size_t i = 0; i < len; ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        bytes[i] ^= static_cast<unsigned char>(1u << bit);
+        ASSERT_NE(Checksum64(bytes.data(), len), base)
+            << "len " << len << " byte " << i << " bit " << bit;
+        bytes[i] ^= static_cast<unsigned char>(1u << bit);
+      }
+    }
+  }
+}
+
+// The format's guarantee is per aligned 8-byte word, not per byte: any
+// change confined to one such word (here: every byte of it rewritten, the
+// tail's partial word included) changes the checksum.
+TEST(ChecksumTest, WholeWordRewriteChangesTheChecksum) {
+  for (size_t len = 1; len <= 96; ++len) {
+    std::vector<unsigned char> bytes = PatternBytes(len);
+    const uint64_t base = Checksum64(bytes.data(), len);
+    for (size_t word = 0; word < len; word += 8) {
+      for (const unsigned char mask : {0x01, 0x5A, 0xFF}) {
+        std::vector<unsigned char> changed = bytes;
+        for (size_t i = word; i < std::min(word + 8, len); ++i) {
+          changed[i] ^= mask;
+        }
+        EXPECT_NE(Checksum64(changed.data(), len), base)
+            << "len " << len << " word " << word / 8;
+      }
+    }
+  }
+}
+
+TEST(ChecksumTest, AppendingAZeroByteChangesTheChecksum) {
+  for (const size_t len : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
+                           size_t{31}, size_t{32}, size_t{63}, size_t{96},
+                           size_t{4096}}) {
+    std::vector<unsigned char> bytes = PatternBytes(len);
+    const uint64_t base = Checksum64(bytes.data(), len);
+    bytes.push_back(0);
+    EXPECT_NE(Checksum64(bytes.data(), len + 1), base) << "len " << len;
+  }
+  // All-zero inputs differ only in their length.
+  const std::vector<unsigned char> zeros(65, 0);
+  for (size_t len = 0; len < zeros.size(); ++len) {
+    EXPECT_NE(Checksum64(zeros.data(), len + 1),
+              Checksum64(zeros.data(), len))
+        << "len " << len;
+  }
+}
+
+// Pinned values: these are format-version-2 bytes on disk, so a change to
+// the function is a format change and must bump kPagedVersion.
+TEST(ChecksumTest, ValuesArePinnedByTheFormatVersion) {
+  EXPECT_EQ(kPagedVersion, 2u);
+  const std::vector<unsigned char> bytes = PatternBytes(100);
+  EXPECT_EQ(Checksum64(bytes.data(), 0), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(Checksum64(bytes.data(), 5), 0xA9CEC184A9367099ull);
+  EXPECT_EQ(Checksum64(bytes.data(), 100), 0x2ACA820B7FD60907ull);
 }
 
 // ---------------------------------------------------------------------------
@@ -334,6 +419,26 @@ TEST(PagedFileTest, OpenRejectsStreamFormatFile) {
       << reader.status().ToString();
   EXPECT_NE(reader.status().message().find("flixctl build"), std::string::npos)
       << reader.status().ToString();
+}
+
+// A version-1 file (FNV-1a checksums, retired) is refused by its version
+// field, before any checksum is compared, with a message that names the fix.
+TEST(PagedFileTest, OpenRejectsVersionOneWithRebuildMessage) {
+  const std::string path = WriteSampleFile("version1.flix");
+  std::vector<char> bytes = ReadAll(path);
+  Superblock sb;
+  std::memcpy(&sb, bytes.data(), sizeof(sb));
+  sb.version = 1;
+  sb.checksum = Checksum64(&sb, offsetof(Superblock, checksum));
+  std::memcpy(bytes.data(), &sb, sizeof(sb));
+  WriteAll(path, bytes);
+  const auto reader = PagedFileReader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  const std::string message(reader.status().message());
+  EXPECT_NE(message.find("unsupported version 1"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("rebuild with `flixctl build`"), std::string::npos)
+      << message;
 }
 
 // Each corruption class must produce a clean non-ok Status from Open — no

@@ -11,7 +11,10 @@
 //
 // Comparison model: every counter, gauge, and histogram of the *baseline*
 // must be present in the candidate and must not grow beyond its tolerance
-// (counters/gauges are work measures; less is better). Histograms compare
+// (counters/gauges are work measures; less is better). Answer counters
+// (flix.query.results_emitted, entries_processed, point_count) count what
+// the queries returned, so they gate both ways: a drop beyond tolerance is
+// a regression too (answers went missing). Histograms compare
 // their count with the count tolerance and their mean with the time
 // tolerance when the name ends in "_ns". Metrics only the candidate has are
 // reported but never fail the run (new instrumentation must not break CI).
@@ -192,6 +195,12 @@ bool IsTimeMetric(const std::string& name) {
   return name.size() >= 3 && name.compare(name.size() - 3, 3, "_ns") == 0;
 }
 
+bool IsAnswerCounter(const std::string& name) {
+  return name == "flix.query.results_emitted" ||
+         name == "flix.query.entries_processed" ||
+         name == "flix.query.point_count";
+}
+
 double ToleranceFor(const Options& opts, const std::string& name,
                     bool time_scale) {
   const auto it = opts.metric_tol.find(name);
@@ -203,7 +212,8 @@ class Comparison {
  public:
   explicit Comparison(const Options& opts) : opts_(opts) {}
 
-  // Flags `name` when the candidate exceeds baseline * (1 + tolerance).
+  // Flags `name` when the candidate exceeds baseline * (1 + tolerance), or,
+  // for an answer counter, falls below baseline / (1 + tolerance).
   // Baselines of zero only pass a zero candidate when work is counted
   // (relative tolerance has no meaning at zero).
   void Compare(const std::string& name, double base, double cand,
@@ -223,8 +233,16 @@ class Comparison {
                   base > 0 ? (cand / base - 1.0) * 100 : 100.0, tol * 100);
       ++regressions_;
     } else if (base > limit_down(cand, tol) && base - cand > 1e-9) {
-      std::printf("improved   %-44s %14.6g -> %14.6g (-%.1f%%)\n",
-                  name.c_str(), base, cand, (1.0 - cand / base) * 100);
+      if (IsAnswerCounter(name)) {
+        std::printf(
+            "REGRESSION %-44s %14.6g -> %14.6g (-%.1f%%, tol %.0f%%, answer "
+            "counter)\n",
+            name.c_str(), base, cand, (1.0 - cand / base) * 100, tol * 100);
+        ++regressions_;
+      } else {
+        std::printf("improved   %-44s %14.6g -> %14.6g (-%.1f%%)\n",
+                    name.c_str(), base, cand, (1.0 - cand / base) * 100);
+      }
     }
   }
 
