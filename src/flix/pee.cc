@@ -50,7 +50,9 @@ struct PointItem {
 // Run's queue entry. Three kinds share one queue so entry points, pending
 // cursor results, and pending frontier hops merge into a single globally
 // ascending stream:
-//   kEntry    — an entry point to process (node = global element id);
+//   kEntry    — an entry point to process (node = global element id,
+//               slot = its partition's admission count when it was pushed:
+//               the entries it was already tested against);
 //   kResult   — the head of an active local-result cursor (node = global
 //               result id, slot = owning cursor);
 //   kFrontier — the head of an active frontier cursor (node = *local* link
@@ -123,55 +125,64 @@ class BorrowedMinHeap {
 // applies the rule. The first entry is kept as a bare id and tested with a
 // single IsReachable call; the index's ReachCover is created when a second
 // entry is admitted, so single-entry partitions never allocate one. The
-// cover pins the index snapshot whose structures it reads, so an online
-// migration that swaps the meta document's handle mid-query cannot free
-// them under it.
+// first admission pins the index snapshot that every later test and the
+// cover read, so an online migration that swaps the meta document's handle
+// mid-query cannot free them, and a caller without a snapshot of its own
+// (Run's push-time test) can still ask.
 class AdmittedEntries {
  public:
-  // True iff an admitted entry reaches `le` (forward), or `le` reaches an
-  // admitted entry (backward). `index` is the caller's snapshot of this
-  // meta document; `probes` accumulates QueryStats::dominance_probes.
-  bool Covers(NodeId le, const index::PathIndex& index, size_t& probes) {
-    if (first_ == kInvalidNode) return false;
+  // Entries admitted so far.
+  size_t size() const { return size_; }
+
+  // True iff an entry admitted after the first `since` reaches `le`
+  // (forward), or `le` reaches one (backward), given that none of the
+  // first `since` does. `probes` accumulates QueryStats::dominance_probes.
+  bool CoversSince(NodeId le, size_t since, size_t& probes) {
+    if (since >= size_) return false;
     if (cover_ == nullptr) {
       ++probes;
-      return forward_ ? index.IsReachable(first_, le)
-                      : index.IsReachable(le, first_);
+      return forward_ ? pin_->IsReachable(first_, le)
+                      : pin_->IsReachable(le, first_);
     }
     const size_t before = cover_->probes();
-    const bool covered = cover_->Covers(le);
+    const bool covered = cover_->CoversSince(le, since);
     probes += cover_->probes() - before;
     return covered;
   }
 
+  bool Covers(NodeId le, size_t& probes) { return CoversSince(le, 0, probes); }
+
   // Admits `le` unless an admitted entry covers it (Section 5.1: everything
-  // `le` reaches was already handled through that entry). Returns whether
-  // `le` was admitted.
+  // `le` reaches was already handled through that entry); `since` as for
+  // CoversSince. `index` is the caller's snapshot of this meta document.
+  // Returns whether `le` was admitted.
   bool Admit(NodeId le, const std::shared_ptr<index::PathIndex>& index,
-             bool forward, size_t& probes) {
-    if (first_ == kInvalidNode) {
+             bool forward, size_t since, size_t& probes) {
+    if (CoversSince(le, since, probes)) return false;
+    if (size_ == 0) {
       forward_ = forward;
       first_ = le;
-      return true;
-    }
-    if (Covers(le, *index, probes)) return false;
-    if (cover_ == nullptr) {
       pin_ = index;
-      cover_ = index->NewReachCover(forward_);
-      cover_->Add(first_);
+    } else {
+      if (cover_ == nullptr) {
+        cover_ = pin_->NewReachCover(forward_);
+        cover_->Add(first_);
+      }
+      cover_->Add(le);
     }
-    cover_->Add(le);
+    ++size_;
     return true;
   }
 
   void Reset() {
-    first_ = kInvalidNode;
+    size_ = 0;
     cover_.reset();  // before the pin: the cover reads the pinned index
     pin_.reset();
   }
 
  private:
   bool forward_ = true;
+  size_t size_ = 0;
   NodeId first_ = kInvalidNode;
   std::shared_ptr<index::PathIndex> pin_;
   std::unique_ptr<index::ReachCover> cover_;
@@ -406,7 +417,9 @@ void PathExpressionEvaluator::Run(const std::vector<NodeId>& starts, TagId tag,
   // at its first pop (PointQuery's rule): the queue ascends, so that pop
   // carries the entry's minimum distance, every node's first emission
   // carries its true distance, and results leave in ascending order.
-  // `emitted` is the result-level dedup of both rules.
+  // `emitted` is the result-level dedup of both rules. Either rule is
+  // tested when a link target is pushed and again when it pops; see
+  // `dominated_at_push`.
   std::unordered_map<uint32_t, AdmittedEntries>& entries = scratch->entries;
   std::unordered_set<NodeId>& processed = scratch->processed;
   std::unordered_set<NodeId>& emitted = scratch->emitted;
@@ -471,6 +484,30 @@ void PathExpressionEvaluator::Run(const std::vector<NodeId>& starts, TagId tag,
                 ItemKind::kFrontier, slot});
   };
 
+  // Duplicate elimination at push time: a link target that its partition's
+  // admitted entries already cover (exact mode: that was already processed)
+  // is counted as dominated and never queued. Admitted sets only grow, so
+  // it would be dominated at its pop too, and the entries processed are
+  // those of a pop-time-only test. A target that is queued carries, in
+  // `admitted_before`, the admission count it was tested against, so its
+  // pop re-tests only the entries admitted since.
+  const auto dominated_at_push = [&](NodeId target,
+                                     uint32_t& admitted_before) -> bool {
+    const uint32_t m = set_.meta_of_node[target];
+    bool covered = false;
+    if (options.exact) {
+      covered = processed.contains(target);
+    } else if (const auto it = entries.find(m); it != entries.end()) {
+      admitted_before = static_cast<uint32_t>(it->second.size());
+      covered = it->second.Covers(set_.local_of_node[target],
+                                  stats->dominance_probes);
+    }
+    if (!covered) return false;
+    ++stats->entries_dominated;
+    if (profiler != nullptr) ++deltas[m].entries_dominated;
+    return true;
+  };
+
   // Processes one partition's share of an entry batch: admission per entry
   // point, then one local and one frontier cursor over all admitted entries
   // at once. Returns false when the sink stopped the query.
@@ -495,10 +532,11 @@ void PathExpressionEvaluator::Run(const std::vector<NodeId>& starts, TagId tag,
     for (const StreamItem& entry : group) {
       const NodeId e = entry.node;
       const NodeId le = set_.local_of_node[e];
+      // Only entries admitted since the push can cover `e` now.
       const bool admitted =
-          options.exact
-              ? processed.insert(e).second
-              : entries[m].Admit(le, index, forward, stats->dominance_probes);
+          options.exact ? processed.insert(e).second
+                        : entries[m].Admit(le, index, forward, entry.slot,
+                                           stats->dominance_probes);
       if (!admitted) {
         ++stats->entries_dominated;
         if (pdelta != nullptr) ++pdelta->entries_dominated;
@@ -602,11 +640,15 @@ void PathExpressionEvaluator::Run(const std::vector<NodeId>& starts, TagId tag,
                   : meta.entry_origins.At(item.node);
       queue.reserve(queue.size() + hops.size());
       for (const NodeId target : hops) {
-        queue.push({item.distance, seq++, target, ItemKind::kEntry, 0});
         ++stats->links_followed;
         // Cross-link fan-out is charged to the partition being *left* —
         // the one whose meta-document choice forced the hop.
         if (ac.delta != nullptr) ++ac.delta->entry_fanout;
+        uint32_t admitted_before = 0;
+        if (!dominated_at_push(target, admitted_before)) {
+          queue.push({item.distance, seq++, target, ItemKind::kEntry,
+                      admitted_before});
+        }
       }
       arm_frontier(item.slot);
       continue;
@@ -745,17 +787,16 @@ Distance PathExpressionEvaluator::PointQuery(NodeId a, NodeId b,
     if (max_distance >= 0 && item.f > max_distance) break;
     if (best != kUnreachable && item.f >= best) break;
     const NodeId e = item.node;
-    const uint32_t m = set_.meta_of_node[e];
-    const NodeId le = set_.local_of_node[e];
-    const MetaDocument& meta = set_.docs[m];
-    // Migration-safe snapshot for every probe of this entry point.
-    const std::shared_ptr<index::PathIndex> index = meta.index.Acquire();
-
     // Dijkstra/A* semantics: the heuristic is consistent (each landmark
     // bound obeys the triangle inequality over super-edges), so the first
     // pop of a node carries its minimal g; later pops are duplicates. Both
     // modes share this rule, which is what makes their answers identical.
     if (!processed.insert(e).second) continue;
+    const uint32_t m = set_.meta_of_node[e];
+    const NodeId le = set_.local_of_node[e];
+    const MetaDocument& meta = set_.docs[m];
+    // Migration-safe snapshot for every probe of this entry point.
+    const std::shared_ptr<index::PathIndex> index = meta.index.Acquire();
 
     if (m == target_meta) {
       const Distance d = index->DistanceBetween(le, target_local);
@@ -774,6 +815,9 @@ Distance PathExpressionEvaluator::PointQuery(NodeId a, NodeId b,
       const std::span<const NodeId> hops = meta.link_targets.At(f.node);
       queue.reserve(queue.size() + hops.size());
       for (const NodeId target : hops) {
+        // The closed-set check at push time: a processed node already
+        // popped at its minimal g, so queueing it again buys nothing.
+        if (processed.contains(target)) continue;
         Distance h = 0;
         if (guided) {
           if (landmarks->ProvablyUnreachable(target, goal)) {
@@ -858,12 +902,12 @@ bool PathExpressionEvaluator::IsConnectedBidirectional(
     // Migration-safe snapshot for every probe of this entry point.
     const std::shared_ptr<index::PathIndex> index = meta.index.Acquire();
 
-    if (!side.entries[m].Admit(le, index, forward, probes)) return false;
+    if (!side.entries[m].Admit(le, index, forward, 0, probes)) return false;
 
     // Meet check against the opposite side's entries in this meta document.
     Side& other = forward ? bwd : fwd;
     const auto it = other.entries.find(m);
-    if (it != other.entries.end() && it->second.Covers(le, *index, probes)) {
+    if (it != other.entries.end() && it->second.Covers(le, probes)) {
       return true;
     }
 

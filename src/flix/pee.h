@@ -60,7 +60,10 @@ struct QueryOptions {
 // the choice of meta documents is no longer optimal").
 struct QueryStats {
   size_t entries_processed = 0;   // priority-queue pops that did work
-  size_t entries_dominated = 0;   // pops skipped by duplicate elimination
+  // Entries dropped by duplicate elimination: link targets an admitted
+  // entry already covered when they were pushed (never queued), plus
+  // queued entries covered by the time they popped.
+  size_t entries_dominated = 0;
   // Work of the duplicate-elimination test: one unit per IsReachable call
   // of the pairwise rule, one per lookup of an index-native ReachCover.
   size_t dominance_probes = 0;

@@ -252,8 +252,11 @@ class PairwiseReachCover : public ReachCover {
 
   void Add(NodeId p) override { added_.push_back(p); }
 
-  bool Covers(NodeId x) override {
-    for (const NodeId p : added_) {
+  bool Covers(NodeId x) override { return CoversSince(x, 0); }
+
+  bool CoversSince(NodeId x, size_t since) override {
+    for (size_t i = since; i < added_.size(); ++i) {
+      const NodeId p = added_[i];
       ++probes_;
       if (forward_ ? index_.IsReachable(p, x) : index_.IsReachable(x, p)) {
         return true;

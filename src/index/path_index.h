@@ -172,6 +172,15 @@ class ReachCover {
   virtual void Add(NodeId p) = 0;
   virtual bool Covers(NodeId x) = 0;
 
+  // Covers(x) for a caller that already knows none of the first `since`
+  // added nodes covers x (the PEE tests an entry at push time and again at
+  // pop time). The pairwise cover tests only the nodes added after them; a
+  // set-level cover cannot tell its nodes apart and answers Covers(x).
+  virtual bool CoversSince(NodeId x, size_t since) {
+    (void)since;
+    return Covers(x);
+  }
+
   // Work units spent by Covers so far — one per IsReachable call for the
   // pairwise cover, one per Covers call for an index-native one.
   size_t probes() const { return probes_; }

@@ -41,7 +41,7 @@ namespace flix::obs {
 // at query end (WorkloadProfiler::RecordQuery).
 struct PartitionDelta {
   uint64_t entries_processed = 0;  // queue pops that did work here
-  uint64_t entries_dominated = 0;  // pops skipped by duplicate elimination
+  uint64_t entries_dominated = 0;  // entries dropped by duplicate elimination
   uint64_t index_probes = 0;       // local index queries issued
   uint64_t cursors_opened = 0;     // probe cursors created
   uint64_t cursor_pulls = 0;       // Next() calls on this partition's cursors

@@ -121,6 +121,115 @@ TEST_P(PeeConfigTest, AncestorsAcrossMetaDocuments) {
   EXPECT_EQ(Nodes(results), expected);
 }
 
+// Full drains of every query shape in every emission mode, over a synthetic
+// collection cut into many small meta documents: the answers are BFS's,
+// and every entry point is accounted for exactly once. Each start and each
+// followed link yields one entry, which is either processed or dropped as
+// dominated (at push or at pop) — never both, never neither.
+TEST_P(PeeConfigTest, FullDrainsMatchBfsAndAccountForEveryEntry) {
+  const auto collection = workload::GenerateSynthetic({.seed = 11});
+  ASSERT_TRUE(collection.ok());
+  FlixOptions options;
+  options.config = GetParam();
+  options.partition_bound = 40;
+  auto flix = Flix::Build(*collection, options);
+  ASSERT_TRUE(flix.ok()) << flix.status().ToString();
+  const PathExpressionEvaluator& pee = (*flix)->pee();
+  const graph::Digraph g = collection->BuildGraph();
+  const graph::ReachabilityOracle oracle(g);
+  const TagId tag_a = collection->pool().Lookup("t1");
+  const TagId tag_b = collection->pool().Lookup("t2");
+  const TagId tag_doc = collection->pool().Lookup("doc");
+  ASSERT_NE(tag_a, kInvalidTag);
+  ASSERT_NE(tag_b, kInvalidTag);
+  ASSERT_NE(tag_doc, kInvalidTag);
+
+  enum class Mode { kStreamed, kPerBlock, kExact };
+  size_t dominated = 0;
+  size_t links = 0;
+  for (const Mode mode : {Mode::kStreamed, Mode::kPerBlock, Mode::kExact}) {
+    QueryOptions query;
+    query.materialize = mode == Mode::kPerBlock;
+    query.exact = mode == Mode::kExact;
+    // Runs one query and checks it against the BFS answer (node -> its
+    // shortest distance from the nearest start).
+    const auto check = [&](const std::string& label, size_t num_starts,
+                           const std::map<NodeId, Distance>& truth,
+                           const auto& run) {
+      SCOPED_TRACE(label + " mode " + std::to_string(static_cast<int>(mode)));
+      QueryStats stats;
+      std::map<NodeId, Distance> got;
+      run(query, [&](const Result& r) {
+            EXPECT_TRUE(got.emplace(r.node, r.distance).second)
+                << "duplicate " << r.node;
+            return true;
+          },
+          &stats);
+      ASSERT_EQ(got.size(), truth.size());
+      for (const auto& [node, distance] : got) {
+        const auto it = truth.find(node);
+        ASSERT_NE(it, truth.end()) << "spurious " << node;
+        if (mode == Mode::kExact) {
+          EXPECT_EQ(distance, it->second) << node;
+        } else {
+          EXPECT_GE(distance, it->second) << node;
+        }
+      }
+      EXPECT_EQ(stats.entries_processed + stats.entries_dominated,
+                num_starts + stats.links_followed);
+      dominated += stats.entries_dominated;
+      links += stats.links_followed;
+    };
+    const auto add_truth = [](std::map<NodeId, Distance>& truth,
+                              const std::vector<graph::NodeDist>& found) {
+      for (const graph::NodeDist& nd : found) {
+        const auto [it, inserted] = truth.emplace(nd.node, nd.distance);
+        if (!inserted) it->second = std::min(it->second, nd.distance);
+      }
+    };
+
+    for (DocId doc = 0; doc < collection->NumDocuments(); ++doc) {
+      const NodeId root = collection->GlobalId(doc, 0);
+      std::map<NodeId, Distance> by_tag;
+      add_truth(by_tag, oracle.DescendantsByTag(root, tag_b));
+      check("a//B from " + std::to_string(root), 1, by_tag,
+            [&](const QueryOptions& o, const ResultSink& sink,
+                QueryStats* stats) {
+              pee.FindDescendantsByTag(root, tag_b, o, sink, stats);
+            });
+      std::map<NodeId, Distance> all;
+      add_truth(all, oracle.Descendants(root));
+      check("a//* from " + std::to_string(root), 1, all,
+            [&](const QueryOptions& o, const ResultSink& sink,
+                QueryStats* stats) {
+              pee.FindDescendants(root, o, sink, stats);
+            });
+    }
+    for (NodeId v = 0; v < g.NumNodes(); v += 5) {
+      std::map<NodeId, Distance> ancestors;
+      add_truth(ancestors, oracle.AncestorsByTag(v, tag_doc));
+      check("ancestors of " + std::to_string(v), 1, ancestors,
+            [&](const QueryOptions& o, const ResultSink& sink,
+                QueryStats* stats) {
+              pee.FindAncestorsByTag(v, tag_doc, o, sink, stats);
+            });
+    }
+    const std::vector<NodeId> type_starts = g.NodesWithTag(tag_a);
+    std::map<NodeId, Distance> type_truth;
+    for (const NodeId a : type_starts) {
+      add_truth(type_truth, oracle.DescendantsByTag(a, tag_b));
+    }
+    check("A//B", type_starts.size(), type_truth,
+          [&](const QueryOptions& o, const ResultSink& sink,
+              QueryStats* stats) {
+            pee.EvaluateTypeQuery(tag_a, tag_b, o, sink, stats);
+          });
+  }
+  // The drains must cross links and drop entries to mean anything.
+  EXPECT_GT(links, 0u);
+  EXPECT_GT(dominated, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllConfigs, PeeConfigTest,
     ::testing::Values(MdbConfig::kNaive, MdbConfig::kMaximalPpo,
@@ -128,6 +237,73 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<MdbConfig>& info) {
       return std::string(MdbConfigName(info.param));
     });
+
+// Links of d0 enter one subtree of d1: x and its descendant y. The link
+// element l carries two links, so x and y are queued together and pop as
+// one batch at distance 2: x is admitted and covers y, which is dropped at
+// its pop. The deeper link element reaches y again at distance 3, after x
+// was admitted, so that arrival is dropped at push. Each arrival counts as
+// dominated exactly once, is charged to d1's partition, and opens no
+// cursor.
+TEST(PeeTest, CoveredLinkTargetIsDominatedOnceAndOpensNoCursor) {
+  xml::Collection c;
+  ASSERT_TRUE(c.AddXml(R"(<a><l href="d1#x" xlink:href="d1#y"/>)"
+                       R"(<c><l href="d1#y"/></c></a>)",
+                       "d0")
+                  .ok());
+  ASSERT_TRUE(
+      c.AddXml(R"(<r><x id="x"><y id="y"><b/></y></x></r>)", "d1").ok());
+  c.ResolveAllLinks();
+  const NodeId x = c.GlobalId(1, 1);
+  const NodeId y = c.GlobalId(1, 2);
+  for (const MdbConfig config : {MdbConfig::kNaive, MdbConfig::kHybrid}) {
+    SCOPED_TRACE(MdbConfigName(config));
+    FlixOptions options;
+    options.config = config;
+    options.partition_bound = 4;  // one meta document per document
+    auto flix = Flix::Build(c, options);
+    ASSERT_TRUE(flix.ok()) << flix.status().ToString();
+    const MetaDocumentSet& set = (*flix)->meta_documents();
+    const uint32_t m0 = set.meta_of_node[c.GlobalId(0, 0)];
+    const uint32_t m1 = set.meta_of_node[x];
+    ASSERT_NE(m0, m1);
+    ASSERT_EQ(set.meta_of_node[y], m1);
+
+    for (const bool exact : {false, true}) {
+      SCOPED_TRACE(exact ? "exact" : "default");
+      (*flix)->profiler().Reset();
+      QueryOptions query;
+      query.exact = exact;
+      QueryStats stats;
+      std::vector<Result> results;
+      (*flix)->pee().FindDescendantsByTag(
+          c.GlobalId(0, 0), c.pool().Lookup("b"), query,
+          [&](const Result& r) {
+            results.push_back(r);
+            return true;
+          },
+          &stats);
+      ASSERT_EQ(results.size(), 1u);
+      EXPECT_EQ(results[0].node, c.GlobalId(1, 3));
+      // a -> l -> y -> b; the default mode reaches b through x, one more.
+      EXPECT_EQ(results[0].distance, exact ? 3 : 4);
+      EXPECT_EQ(stats.links_followed, 3u);
+      // Default mode: a and x are processed, both arrivals of y are covered
+      // by x. Exact mode: y is processed at its first arrival and only the
+      // second one is dropped.
+      const size_t processed = exact ? 3 : 2;
+      EXPECT_EQ(stats.entries_processed, processed);
+      EXPECT_EQ(stats.entries_dominated, 3 + 1 - processed);
+      // One cursor pair for a, one for d1's batch: none for a dropped y.
+      EXPECT_EQ(stats.cursors_opened, 4u);
+      const obs::WorkloadProfile profile = (*flix)->Profile();
+      EXPECT_EQ(profile.partitions[m0].entries_dominated, 0u);
+      EXPECT_EQ(profile.partitions[m1].entries_dominated,
+                3 + 1 - processed);
+      EXPECT_EQ(profile.partitions[m1].entries_processed, processed - 1);
+    }
+  }
+}
 
 TEST(PeeTest, MaxResultsStopsEarly) {
   const xml::Collection c = ChainedCollection();

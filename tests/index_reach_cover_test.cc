@@ -1,7 +1,8 @@
 // Property test for PathIndex::NewReachCover: for every strategy and both
 // directions, seeded random Add/Covers sequences over random forests, DAGs
 // and cyclic graphs must answer exactly what the brute-force "any
-// IsReachable" loop answers (and what BFS answers). HOPI's hub-union cover
+// IsReachable" loop answers (and what BFS answers), and CoversSince must
+// answer for the nodes added after a random prefix. HOPI's hub-union cover
 // and PPO's interval cover are also run on LoadIndexSegment-mapped
 // instances.
 #include <gtest/gtest.h>
@@ -140,6 +141,38 @@ void CheckCovers(const PathIndex& index, const graph::Digraph& g,
         EXPECT_LE(spent, added.size());
       }
       hits += any_index ? 1 : 0;
+
+      // CoversSince: the pairwise cover tests only the nodes added after
+      // the first `since` (on a miss, each of them exactly once); the
+      // index-native covers cannot tell added nodes apart and answer
+      // Covers. Either way, when none of the first `since` covers x, the
+      // answer is Covers(x): what the PEE's pop-time re-test relies on.
+      const size_t since = rng.Uniform(added.size() + 1);
+      bool any_prefix = false;
+      bool any_suffix = false;
+      for (size_t i = 0; i < added.size(); ++i) {
+        const NodeId p = added[i];
+        const bool reaches = forward ? reach[p][x] : reach[x][p];
+        (i < since ? any_prefix : any_suffix) |= reaches;
+      }
+      const size_t before_since = cover->probes();
+      const bool since_answer = cover->CoversSince(x, since);
+      const size_t since_spent = cover->probes() - before_since;
+      if (index.kind() == StrategyKind::kHopi ||
+          index.kind() == StrategyKind::kPpo) {
+        ASSERT_EQ(since_answer, any_index) << "x=" << x << " since " << since;
+        EXPECT_EQ(since_spent, 1u);
+      } else {
+        ASSERT_EQ(since_answer, any_suffix) << "x=" << x << " since " << since;
+        if (!any_suffix) {
+          EXPECT_EQ(since_spent, added.size() - since);
+        } else {
+          EXPECT_LE(since_spent, added.size() - since);
+        }
+      }
+      if (!any_prefix) {
+        ASSERT_EQ(since_answer, any_index);
+      }
     }
     // The sequences must exercise both answers to mean anything.
     EXPECT_GT(hits, 0u);
