@@ -113,6 +113,6 @@ int main(int argc, char** argv) {
       "in entry points: without entry-point domination it processes every "
       "entry it reaches, so on partitioned configurations its full drain "
       "costs more than the approximate one.\n");
-  bench::EmitMetricsBlock("exact_vs_approx");
+  bench::EmitMetricsBlock("exact_vs_approx", {bench::Config("pubs", pubs)});
   return bench::ExitCode();
 }

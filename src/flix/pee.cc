@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <span>
 #include <tuple>
@@ -10,6 +11,7 @@
 #include <unordered_set>
 
 #include "common/dcheck.h"
+#include "flix/bucket_queue.h"
 #include "flix/landmarks.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
@@ -56,27 +58,36 @@ struct PointItem {
 //   kResult   — the head of an active local-result cursor (node = global
 //               result id, slot = owning cursor);
 //   kFrontier — the head of an active frontier cursor (node = *local* link
-//               source / entry node, slot = owning cursor; distance already
-//               includes the +1 link hop).
+//               source / entry node, slot = owning cursor; its queued
+//               distance already includes the +1 link hop).
 // Popping a kResult/kFrontier item re-arms its cursor: the next element is
 // pulled and pushed back. Each cursor thus keeps at most one item queued,
-// and elements past the last pop are never pulled at all.
+// and elements past the last pop are never pulled at all. The distance and
+// the tie-breaking push order are the BucketQueue's, so an item is 8 bytes.
 enum class ItemKind : uint8_t { kEntry, kResult, kFrontier };
 
-struct StreamItem {
-  Distance distance;
-  uint64_t seq;
-  NodeId node;
-  ItemKind kind;
-  uint32_t slot;
-
-  bool operator>(const StreamItem& other) const {
-    return std::tie(distance, seq) > std::tie(other.distance, other.seq);
+class StreamItem {
+ public:
+  StreamItem(ItemKind kind, NodeId node, uint32_t slot)
+      : node_(node),
+        kind_slot_(static_cast<uint32_t>(kind) << kSlotBits | slot) {
+    FLIX_DCHECK(slot <= kSlotMask, "stream item slot overflows its field");
   }
-};
 
-using StreamQueue =
-    std::priority_queue<StreamItem, std::vector<StreamItem>, std::greater<>>;
+  NodeId node() const { return node_; }
+  ItemKind kind() const {
+    return static_cast<ItemKind>(kind_slot_ >> kSlotBits);
+  }
+  uint32_t slot() const { return kind_slot_ & kSlotMask; }
+
+ private:
+  static constexpr int kSlotBits = 30;
+  static constexpr uint32_t kSlotMask = (uint32_t{1} << kSlotBits) - 1;
+
+  NodeId node_;
+  uint32_t kind_slot_;  // kind in the top two bits, slot below
+};
+static_assert(sizeof(StreamItem) == 8);
 
 // An open cursor merged into the stream queue.
 struct ActiveCursor {
@@ -188,36 +199,96 @@ class AdmittedEntries {
   std::unique_ptr<index::ReachCover> cover_;
 };
 
+// A set of global element ids kept as a bitset. It is cleared through the
+// list of words it set, so a query pays for the ids it touched, not for the
+// size of the collection.
+class DenseIdSet {
+ public:
+  // Makes room for ids below `n`.
+  void Fit(size_t n) {
+    const size_t words = (n + 63) / 64;
+    if (words_.size() < words) words_.resize(words, 0);
+  }
+
+  bool contains(NodeId id) const {
+    return (words_[id >> 6] >> (id & 63)) & 1;
+  }
+
+  // Adds `id`; returns whether it was absent.
+  bool insert(NodeId id) {
+    uint64_t& word = words_[id >> 6];
+    const uint64_t bit = uint64_t{1} << (id & 63);
+    if ((word & bit) != 0) return false;
+    if (word == 0) touched_.push_back(id >> 6);
+    word |= bit;
+    return true;
+  }
+
+  void clear() {
+    for (const uint32_t w : touched_) words_[w] = 0;
+    touched_.clear();
+  }
+
+ private:
+  std::vector<uint64_t> words_;
+  std::vector<uint32_t> touched_;  // words that may be nonzero
+};
+
+// One entry of Run's current batch: `order` is its position in pop order,
+// the tie-break that keeps each partition's group in queue order.
+struct BatchEntry {
+  uint32_t meta;
+  uint32_t order;
+  StreamItem item;
+};
+
 // Per-thread reusable query state: queues, dedup sets and cursor slots are
 // cleared between queries instead of reallocated, so a steady query stream
-// stops paying hash-table and heap growth after warm-up.
+// stops paying allocation and growth after warm-up. Element sets are
+// bitsets over global element ids and per-partition state is indexed by
+// meta-document id; each is reset through the entries a query touched.
 struct QueryScratch {
-  std::vector<StreamItem> stream_items;
+  BucketQueue<StreamItem> stream_queue;
   // Run's current entry batch and one partition's admitted seeds.
-  std::vector<StreamItem> batch;
+  std::vector<BatchEntry> batch;
   std::vector<NodeId> seeds;
   std::vector<PointItem> point_items;
-  std::unordered_set<NodeId> start_set;
+  DenseIdSet start_set;
+  DenseIdSet emitted;
+  DenseIdSet processed;
   std::vector<ActiveCursor> slots;
-  std::unordered_map<uint32_t, AdmittedEntries> entries;
-  std::unordered_set<NodeId> emitted;
-  std::unordered_set<NodeId> processed;
+  // Admitted entry points per meta document; `admitted_in` lists the meta
+  // documents with any.
+  std::vector<AdmittedEntries> entries;
+  std::vector<uint32_t> admitted_in;
+  // Run's profiler cell per meta document (null until first charged);
+  // `charged` lists the non-null ones.
+  std::vector<obs::PartitionDelta*> delta_of;
+  std::vector<uint32_t> charged;
   bool in_use = false;
 
+  // Sizes the dense state for a collection of `num_nodes` elements in
+  // `num_docs` meta documents.
+  void Fit(size_t num_nodes, size_t num_docs) {
+    for (DenseIdSet* set : {&start_set, &emitted, &processed}) {
+      set->Fit(num_nodes);
+    }
+    if (entries.size() < num_docs) entries.resize(num_docs);
+    if (delta_of.size() < num_docs) delta_of.resize(num_docs, nullptr);
+  }
+
   void Clear() {
-    stream_items.clear();
+    stream_queue.clear();
     batch.clear();
     seeds.clear();
     point_items.clear();
     slots.clear();
-    // Keep the per-partition map nodes; a reset entry admits afresh. The
-    // reset drops each cover's pin along with the cursor slots above.
-    for (auto& [partition, admitted] : entries) admitted.Reset();
-    // libstdc++ clear() zeroes the whole bucket array even when the set is
-    // empty, so a set one large query grew would tax every later query.
-    for (auto* set : {&start_set, &emitted, &processed}) {
-      if (!set->empty()) set->clear();
-    }
+    // The reset drops each cover's pin along with the cursor slots above.
+    for (const uint32_t m : admitted_in) entries[m].Reset();
+    admitted_in.clear();
+    for (const uint32_t m : charged) delta_of[m] = nullptr;
+    charged.clear();
+    for (DenseIdSet* set : {&start_set, &emitted, &processed}) set->clear();
   }
 };
 
@@ -399,14 +470,18 @@ void PathExpressionEvaluator::Run(const std::vector<NodeId>& starts, TagId tag,
   // Reused per-thread state (destroyed after `savings` below, which reads
   // the slots, and before `flush` above, which reads only locals).
   ScratchLease scratch;
-  BorrowedMinHeap<StreamItem> queue(scratch->stream_items);
-  uint64_t seq = 0;
-  queue.reserve(starts.size() + 16);
+  scratch->Fit(set_.meta_of_node.size(), set_.docs.size());
+  // Distances are small integers and no push is nearer than the last pop:
+  // cursors yield ascending distances, a new cursor's first element lies
+  // at least one step past its entry batch, and hop targets are queued at
+  // the distance of the frontier item that found them. So one FIFO per
+  // distance pops in exactly the (distance, push order) order of a heap.
+  BucketQueue<StreamItem>& queue = scratch->stream_queue;
+  DenseIdSet& start_set = scratch->start_set;
   for (const NodeId s : starts) {
-    queue.push({0, seq++, s, ItemKind::kEntry, 0});
+    queue.push(0, StreamItem(ItemKind::kEntry, s, 0));
+    start_set.insert(s);
   }
-  std::unordered_set<NodeId>& start_set = scratch->start_set;
-  start_set.insert(starts.begin(), starts.end());
 
   std::vector<ActiveCursor>& slots = scratch->slots;
   CursorSavingsFlush savings{slots, *stats};
@@ -420,16 +495,28 @@ void PathExpressionEvaluator::Run(const std::vector<NodeId>& starts, TagId tag,
   // `emitted` is the result-level dedup of both rules. Either rule is
   // tested when a link target is pushed and again when it pops; see
   // `dominated_at_push`.
-  std::unordered_map<uint32_t, AdmittedEntries>& entries = scratch->entries;
-  std::unordered_set<NodeId>& processed = scratch->processed;
-  std::unordered_set<NodeId>& emitted = scratch->emitted;
+  std::vector<AdmittedEntries>& entries = scratch->entries;
+  DenseIdSet& processed = scratch->processed;
+  DenseIdSet& emitted = scratch->emitted;
   int64_t num_results = 0;
   // The paper's per-block emission: each local probe is drained into one
   // ascending block and emitted whole (exact mode needs the merged order).
   const bool per_block = options.materialize && !options.exact;
 
+  // The profiler cell of meta document `m`. Map nodes have stable
+  // addresses, so after its first charge a partition's cell is an array
+  // lookup. Only called with profiling on.
+  const auto delta = [&](uint32_t m) -> obs::PartitionDelta& {
+    obs::PartitionDelta*& cell = scratch->delta_of[m];
+    if (cell == nullptr) {
+      cell = &deltas[m];
+      scratch->charged.push_back(m);
+    }
+    return *cell;
+  };
+
   const auto emit = [&](NodeId node, Distance distance) -> bool {
-    if (!emitted.insert(node).second) return true;
+    if (!emitted.insert(node)) return true;
     if (emitted_count > 0 && distance < last_emitted_distance) {
       FLIX_DCHECK(!options.exact,
                   "exact-mode results emitted out of ascending order");
@@ -439,7 +526,7 @@ void PathExpressionEvaluator::Run(const std::vector<NodeId>& starts, TagId tag,
     ++emitted_count;
     // Results are attributed to the partition that holds the element.
     if (profiler != nullptr) {
-      ++deltas[set_.meta_of_node[node]].results_emitted;
+      ++delta(set_.meta_of_node[node]).results_emitted;
     }
     if (!sink({node, distance})) return false;
     if (options.max_results >= 0 && ++num_results >= options.max_results) {
@@ -464,8 +551,8 @@ void PathExpressionEvaluator::Run(const std::vector<NodeId>& starts, TagId tag,
       }
       const NodeId global = meta.global_nodes[r->node];
       if (start_set.contains(global)) continue;
-      queue.push({ac.base + r->distance, seq++, global, ItemKind::kResult,
-                  slot});
+      queue.push(ac.base + r->distance,
+                 StreamItem(ItemKind::kResult, global, slot));
       return;
     }
   };
@@ -480,8 +567,8 @@ void PathExpressionEvaluator::Run(const std::vector<NodeId>& starts, TagId tag,
       ac.cursor.reset();
       return;
     }
-    queue.push({ac.base + f->distance + 1, seq++, f->node,
-                ItemKind::kFrontier, slot});
+    queue.push(ac.base + f->distance + 1,
+               StreamItem(ItemKind::kFrontier, f->node, slot));
   };
 
   // Duplicate elimination at push time: a link target that its partition's
@@ -497,46 +584,56 @@ void PathExpressionEvaluator::Run(const std::vector<NodeId>& starts, TagId tag,
     bool covered = false;
     if (options.exact) {
       covered = processed.contains(target);
-    } else if (const auto it = entries.find(m); it != entries.end()) {
-      admitted_before = static_cast<uint32_t>(it->second.size());
-      covered = it->second.Covers(set_.local_of_node[target],
-                                  stats->dominance_probes);
+    } else {
+      AdmittedEntries& admitted = entries[m];
+      admitted_before = static_cast<uint32_t>(admitted.size());
+      covered = admitted.Covers(set_.local_of_node[target],
+                                stats->dominance_probes);
     }
     if (!covered) return false;
     ++stats->entries_dominated;
-    if (profiler != nullptr) ++deltas[m].entries_dominated;
+    if (profiler != nullptr) ++delta(m).entries_dominated;
     return true;
   };
 
-  // Processes one partition's share of an entry batch: admission per entry
-  // point, then one local and one frontier cursor over all admitted entries
-  // at once. Returns false when the sink stopped the query.
+  // Processes one partition's share of an entry batch at distance `base`:
+  // admission per entry point, then one local and one frontier cursor over
+  // all admitted entries at once. Returns false when the sink stopped the
+  // query.
   std::vector<NodeId>& seeds = scratch->seeds;
-  const auto open_batch = [&](uint32_t m,
-                              std::span<const StreamItem> group) -> bool {
+  const auto open_batch = [&](uint32_t m, Distance base,
+                              std::span<const BatchEntry> group) -> bool {
     const MetaDocument& meta = set_.docs[m];
     // One snapshot per batch: every probe and cursor opened below works
     // against this index even if a migration swaps the handle. A batch
     // processed later may see the replacement — both are exact over the
     // same local graph, so mixing them mid-query stays correct.
     const std::shared_ptr<index::PathIndex> index = meta.index.Acquire();
-    obs::PartitionDelta* pdelta = profiler != nullptr ? &deltas[m] : nullptr;
-    obs::TraceSpan entry_span(nullptr, collecting ? "pee.entry" : nullptr);
-    if (entry_span.Collecting()) {
-      entry_span.AddAttr("partition", static_cast<int64_t>(m));
-      entry_span.AddAttr("strategy", index->name());
+    obs::PartitionDelta* pdelta = profiler != nullptr ? &delta(m) : nullptr;
+    // Spans that record nothing are not built: each would read the clock
+    // twice per partition visit.
+    std::optional<obs::TraceSpan> entry_span;
+    if (collecting) {
+      entry_span.emplace(nullptr, "pee.entry");
+      entry_span->AddAttr("partition", static_cast<int64_t>(m));
+      entry_span->AddAttr("strategy", index->name());
     }
-    const Distance base = group.front().distance;
+    AdmittedEntries& admitted_entries = entries[m];
+    // The batch's first entry is admitted whenever none was before.
+    if (!options.exact && admitted_entries.size() == 0) {
+      scratch->admitted_in.push_back(m);
+    }
 
     seeds.clear();
-    for (const StreamItem& entry : group) {
-      const NodeId e = entry.node;
+    for (const BatchEntry& entry : group) {
+      const NodeId e = entry.item.node();
       const NodeId le = set_.local_of_node[e];
       // Only entries admitted since the push can cover `e` now.
       const bool admitted =
-          options.exact ? processed.insert(e).second
-                        : entries[m].Admit(le, index, forward, entry.slot,
-                                           stats->dominance_probes);
+          options.exact
+              ? processed.insert(e)
+              : admitted_entries.Admit(le, index, forward, entry.item.slot(),
+                                       stats->dominance_probes);
       if (!admitted) {
         ++stats->entries_dominated;
         if (pdelta != nullptr) ++pdelta->entries_dominated;
@@ -552,16 +649,16 @@ void PathExpressionEvaluator::Run(const std::vector<NodeId>& starts, TagId tag,
         if (!emit(e, base)) return false;
       }
     }
-    if (entry_span.Collecting()) {
-      entry_span.AddAttr("seeds", static_cast<int64_t>(seeds.size()));
+    if (entry_span.has_value()) {
+      entry_span->AddAttr("seeds", static_cast<int64_t>(seeds.size()));
     }
     if (seeds.empty()) return true;
 
     // Local probe: a lazy cursor over matches within the meta document,
     // each at its distance from the nearest seed.
     {
-      obs::TraceSpan cursor_span(nullptr,
-                                 collecting ? "pee.cursor.local" : nullptr);
+      std::optional<obs::TraceSpan> cursor_span;
+      if (collecting) cursor_span.emplace(nullptr, "pee.cursor.local");
       ++stats->index_probes;
       ++stats->cursors_opened;
       if (pdelta != nullptr) {
@@ -586,22 +683,15 @@ void PathExpressionEvaluator::Run(const std::vector<NodeId>& starts, TagId tag,
         }
       } else {
         slots.push_back({std::move(cursor), index, base, m, pdelta});
-        const uint32_t slot = static_cast<uint32_t>(slots.size() - 1);
-        // The cursor keeps only one item queued at a time, but each result
-        // it yields transits the queue; a hint-capped reserve absorbs that
-        // churn without regrowing the heap mid-merge.
-        queue.reserve(queue.size() +
-                      std::min<size_t>(slots[slot].cursor->RemainingHint(),
-                                       64));
-        arm_result(slot);
+        arm_result(static_cast<uint32_t>(slots.size() - 1));
       }
     }
 
     // Frontier probe: a lazy cursor over the link sources (or entry nodes,
     // for the ancestors axis) the seeds reach.
     {
-      obs::TraceSpan cursor_span(nullptr,
-                                 collecting ? "pee.cursor.frontier" : nullptr);
+      std::optional<obs::TraceSpan> cursor_span;
+      if (collecting) cursor_span.emplace(nullptr, "pee.cursor.frontier");
       ++stats->index_probes;
       ++stats->cursors_opened;
       if (pdelta != nullptr) {
@@ -617,28 +707,29 @@ void PathExpressionEvaluator::Run(const std::vector<NodeId>& starts, TagId tag,
     return true;
   };
 
+  std::vector<BatchEntry>& batch = scratch->batch;
   while (!queue.empty()) {
+    const Distance distance = queue.top_distance();
     const StreamItem item = queue.top();
     queue.pop();
     // The queue is ascending, so the first item past the bound ends the
     // query — everything still queued (or unpulled) is at least as far.
-    if (options.max_distance >= 0 && item.distance > options.max_distance) {
+    if (options.max_distance >= 0 && distance > options.max_distance) {
       break;
     }
 
-    if (item.kind == ItemKind::kResult) {
-      if (!emit(item.node, item.distance)) return;
-      arm_result(item.slot);
+    if (item.kind() == ItemKind::kResult) {
+      if (!emit(item.node(), distance)) return;
+      arm_result(item.slot());
       continue;
     }
 
-    if (item.kind == ItemKind::kFrontier) {
-      ActiveCursor& ac = slots[item.slot];
+    if (item.kind() == ItemKind::kFrontier) {
+      ActiveCursor& ac = slots[item.slot()];
       const MetaDocument& meta = set_.docs[ac.meta];
       const std::span<const NodeId> hops =
-          forward ? meta.link_targets.At(item.node)
-                  : meta.entry_origins.At(item.node);
-      queue.reserve(queue.size() + hops.size());
+          forward ? meta.link_targets.At(item.node())
+                  : meta.entry_origins.At(item.node());
       for (const NodeId target : hops) {
         ++stats->links_followed;
         // Cross-link fan-out is charged to the partition being *left* —
@@ -646,11 +737,11 @@ void PathExpressionEvaluator::Run(const std::vector<NodeId>& starts, TagId tag,
         if (ac.delta != nullptr) ++ac.delta->entry_fanout;
         uint32_t admitted_before = 0;
         if (!dominated_at_push(target, admitted_before)) {
-          queue.push({item.distance, seq++, target, ItemKind::kEntry,
-                      admitted_before});
+          queue.push(distance,
+                     StreamItem(ItemKind::kEntry, target, admitted_before));
         }
       }
-      arm_frontier(item.slot);
+      arm_frontier(item.slot());
       continue;
     }
 
@@ -659,27 +750,27 @@ void PathExpressionEvaluator::Run(const std::vector<NodeId>& starts, TagId tag,
     // Nothing the batch pushes is that near (results and hops are at least
     // one step farther), so batching never moves an item ahead of a nearer
     // one.
-    std::vector<StreamItem>& batch = scratch->batch;
-    batch.assign(1, item);
-    while (!queue.empty() && queue.top().kind == ItemKind::kEntry &&
-           queue.top().distance == item.distance) {
-      batch.push_back(queue.top());
+    batch.clear();
+    batch.push_back({set_.meta_of_node[item.node()], 0, item});
+    while (!queue.empty() && queue.top_distance() == distance &&
+           queue.top().kind() == ItemKind::kEntry) {
+      const StreamItem next = queue.top();
       queue.pop();
+      batch.push_back({set_.meta_of_node[next.node()],
+                       static_cast<uint32_t>(batch.size()), next});
     }
     if (batch.size() > 1) {
       std::sort(batch.begin(), batch.end(),
-                [this](const StreamItem& a, const StreamItem& b) {
-                  return std::tie(set_.meta_of_node[a.node], a.seq) <
-                         std::tie(set_.meta_of_node[b.node], b.seq);
+                [](const BatchEntry& a, const BatchEntry& b) {
+                  return std::tie(a.meta, a.order) < std::tie(b.meta, b.order);
                 });
     }
     for (size_t first = 0; first < batch.size();) {
-      const uint32_t m = set_.meta_of_node[batch[first].node];
+      const uint32_t m = batch[first].meta;
       size_t last = first + 1;
-      while (last < batch.size() && set_.meta_of_node[batch[last].node] == m) {
-        ++last;
-      }
-      if (!open_batch(m, std::span(batch).subspan(first, last - first))) {
+      while (last < batch.size() && batch[last].meta == m) ++last;
+      if (!open_batch(m, distance,
+                      std::span(batch).subspan(first, last - first))) {
         return;
       }
       first = last;
@@ -769,10 +860,11 @@ Distance PathExpressionEvaluator::PointQuery(NodeId a, NodeId b,
   }
 
   ScratchLease scratch;
+  scratch->Fit(set_.meta_of_node.size(), set_.docs.size());
   BorrowedMinHeap<PointItem> queue(scratch->point_items);
   uint64_t seq = 0;
   queue.push({h_start, 0, seq++, a});
-  std::unordered_set<NodeId>& processed = scratch->processed;
+  DenseIdSet& processed = scratch->processed;
   Distance best = kUnreachable;
   size_t pops = 0;
 
@@ -791,7 +883,7 @@ Distance PathExpressionEvaluator::PointQuery(NodeId a, NodeId b,
     // bound obeys the triangle inequality over super-edges), so the first
     // pop of a node carries its minimal g; later pops are duplicates. Both
     // modes share this rule, which is what makes their answers identical.
-    if (!processed.insert(e).second) continue;
+    if (!processed.insert(e)) continue;
     const uint32_t m = set_.meta_of_node[e];
     const NodeId le = set_.local_of_node[e];
     const MetaDocument& meta = set_.docs[m];

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "flix/flix.h"
 #include "graph/traversal.h"
@@ -15,10 +16,16 @@
 namespace flix::core {
 namespace {
 
+// gtest lists a parameter it has no printer for by its bytes, and ctest
+// takes that listing into each test's name. So the struct has no implicit
+// padding, whose bytes are indeterminate and would make the names differ
+// between builds.
 struct ConfigParam {
   MdbConfig config;
+  uint32_t padding = 0;
   size_t partition_bound;
 };
+static_assert(std::has_unique_object_representations_v<ConfigParam>);
 
 std::string ConfigName(const ::testing::TestParamInfo<ConfigParam>& info) {
   return std::string(MdbConfigName(info.param.config)) + "_b" +
@@ -137,12 +144,18 @@ TEST_P(IntegrationTest, EveryMetaDocumentHasAnIndexMatchingItsStructure) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllConfigs, IntegrationTest,
-    ::testing::Values(ConfigParam{MdbConfig::kNaive, 5000},
-                      ConfigParam{MdbConfig::kMaximalPpo, 5000},
-                      ConfigParam{MdbConfig::kUnconnectedHopi, 50},
-                      ConfigParam{MdbConfig::kUnconnectedHopi, 200},
-                      ConfigParam{MdbConfig::kHybrid, 50},
-                      ConfigParam{MdbConfig::kHybrid, 200}),
+    ::testing::Values(ConfigParam{.config = MdbConfig::kNaive,
+                                  .partition_bound = 5000},
+                      ConfigParam{.config = MdbConfig::kMaximalPpo,
+                                  .partition_bound = 5000},
+                      ConfigParam{.config = MdbConfig::kUnconnectedHopi,
+                                  .partition_bound = 50},
+                      ConfigParam{.config = MdbConfig::kUnconnectedHopi,
+                                  .partition_bound = 200},
+                      ConfigParam{.config = MdbConfig::kHybrid,
+                                  .partition_bound = 50},
+                      ConfigParam{.config = MdbConfig::kHybrid,
+                                  .partition_bound = 200}),
     ConfigName);
 
 TEST(IntegrationTest, ConfigsAgreeWithEachOther) {

@@ -8,6 +8,8 @@
 #include "flix/flix.h"
 #include "graph/traversal.h"
 #include "index/path_index.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "workload/synthetic_generator.h"
 #include "xml/collection.h"
 
@@ -228,6 +230,79 @@ TEST_P(PeeConfigTest, FullDrainsMatchBfsAndAccountForEveryEntry) {
   // The drains must cross links and drop entries to mean anything.
   EXPECT_GT(links, 0u);
   EXPECT_GT(dominated, 0u);
+}
+
+// Streamed and exact runs emit in non-decreasing distance, full drains and
+// top-k stops alike, and the registry counts no result out of order. This
+// is the monotonicity Run's bucket queue relies on: nothing is queued
+// nearer than the last item popped.
+TEST_P(PeeConfigTest, StreamedAndExactRunsEmitAscendingDistances) {
+  const auto collection = workload::GenerateSynthetic({.seed = 11});
+  ASSERT_TRUE(collection.ok());
+  FlixOptions options;
+  options.config = GetParam();
+  options.partition_bound = 40;
+  auto flix = Flix::Build(*collection, options);
+  ASSERT_TRUE(flix.ok()) << flix.status().ToString();
+  const PathExpressionEvaluator& pee = (*flix)->pee();
+  const TagId tag_a = collection->pool().Lookup("t1");
+  const TagId tag_b = collection->pool().Lookup("t2");
+  const TagId tag_doc = collection->pool().Lookup("doc");
+  ASSERT_NE(tag_a, kInvalidTag);
+  ASSERT_NE(tag_b, kInvalidTag);
+  ASSERT_NE(tag_doc, kInvalidTag);
+  obs::Counter& out_of_order = obs::MetricsRegistry::Global().GetCounter(
+      obs::names::kQueryResultsOutOfOrder);
+  const uint64_t out_of_order_before = out_of_order.Value();
+
+  size_t emitted = 0;
+  size_t stopped_early = 0;
+  for (const bool exact : {false, true}) {
+    for (const int64_t k : {int64_t{-1}, int64_t{1}, int64_t{7}}) {
+      QueryOptions query;
+      query.exact = exact;
+      query.max_results = k;
+      const auto check = [&](const std::string& label, const auto& run) {
+        SCOPED_TRACE(label + (exact ? " exact" : " streamed") + " k " +
+                     std::to_string(k));
+        std::vector<Result> got;
+        run(query, [&](const Result& r) {
+          got.push_back(r);
+          return true;
+        });
+        for (size_t i = 1; i < got.size(); ++i) {
+          ASSERT_GE(got[i].distance, got[i - 1].distance) << "position " << i;
+        }
+        emitted += got.size();
+        if (k >= 0 && got.size() == static_cast<size_t>(k)) ++stopped_early;
+      };
+      for (DocId doc = 0; doc < collection->NumDocuments(); ++doc) {
+        const NodeId root = collection->GlobalId(doc, 0);
+        check("a//B from " + std::to_string(root),
+              [&](const QueryOptions& o, const ResultSink& sink) {
+                pee.FindDescendantsByTag(root, tag_b, o, sink);
+              });
+        check("a//* from " + std::to_string(root),
+              [&](const QueryOptions& o, const ResultSink& sink) {
+                pee.FindDescendants(root, o, sink);
+              });
+      }
+      for (NodeId v = 0; v < collection->NumElements(); v += 7) {
+        check("ancestors of " + std::to_string(v),
+              [&](const QueryOptions& o, const ResultSink& sink) {
+                pee.FindAncestorsByTag(v, tag_doc, o, sink);
+              });
+      }
+      check("A//B", [&](const QueryOptions& o, const ResultSink& sink) {
+        pee.EvaluateTypeQuery(tag_a, tag_b, o, sink);
+      });
+    }
+  }
+  EXPECT_EQ(out_of_order.Value(), out_of_order_before);
+  // The runs must emit, and some top-k runs must stop early, to mean
+  // anything.
+  EXPECT_GT(emitted, 0u);
+  EXPECT_GT(stopped_early, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

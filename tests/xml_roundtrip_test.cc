@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "common/rng.h"
 #include "workload/synthetic_generator.h"
@@ -14,11 +15,16 @@
 namespace flix::xml {
 namespace {
 
+// No implicit padding: gtest lists the parameter by its bytes, and ctest
+// takes that listing into each test's name (see ConfigParam in
+// flix_integration_test.cc).
 struct RoundTripParams {
   uint64_t seed;
   size_t num_elements;
   bool pretty;
+  char padding[7] = {};
 };
+static_assert(std::has_unique_object_representations_v<RoundTripParams>);
 
 class RoundTripTest : public ::testing::TestWithParam<RoundTripParams> {};
 
